@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fgab import GroupElement, solve_divisibility, tensor_reduction
+from .fgab import GroupElement, solve_divisibility
 from .topology import (
     ManifoldProfile,
     cohomology,
     mod2_class_moduli,
-    require_valid,
     semicharacteristic,
     zero_mod2_class,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "necessary_conditions",
     "obstruction_report",
     "tangent_bundle_classes",
-    "rep_pullback_constants",
 ]
 
 
@@ -44,6 +42,26 @@ def _check_class_vector(base: ManifoldProfile, vec, what: str) -> None:
         raise ValueError(f"{what} requires the base profile to carry a mod-2 fragment")
     if any(b not in (0, 1) for b in vec):
         raise ValueError(f"{what} must be a 0/1 vector")
+
+
+def _check_p1_and_w2(bundle: Bundle3Data | Bundle5Data) -> None:
+    """Checks shared by the rank-3 and rank-5 records: p1 lies in
+    H^4(M;Z) of the base, and the w2 class is carried exactly when the
+    base has a mod-2 fragment, as a 0/1 vector of the fragment's length
+    that agrees with the w2_zero flag."""
+    base = bundle.base
+    if bundle.p1.group != cohomology(base, 4):
+        raise ValueError("bundle p1 must live in H^4(M;Z) of the base")
+    if (bundle.w2_class is None) != (base.mod2_fragment is None):
+        raise ValueError(
+            "w2 class must be present exactly when the base has a mod-2 fragment"
+        )
+    if bundle.w2_class is not None:
+        _check_class_vector(base, bundle.w2_class, "w2 class")
+        if len(bundle.w2_class) != base.mod2_fragment.h2_dim:
+            raise ValueError("w2 class has the wrong length")
+        if bundle.w2_zero != (not any(bundle.w2_class)):
+            raise ValueError("w2_zero flag contradicts the w2 class vector")
 
 
 @dataclass(frozen=True)
@@ -61,19 +79,7 @@ class Bundle3Data:
     w2_class: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        require_valid(self.base)
-        if self.p1.group != cohomology(self.base, 4):
-            raise ValueError("bundle p1 must live in H^4(M;Z) of the base")
-        if (self.w2_class is None) != (self.base.mod2_fragment is None):
-            raise ValueError(
-                "w2 class must be present exactly when the base has a mod-2 fragment"
-            )
-        if self.w2_class is not None:
-            _check_class_vector(self.base, self.w2_class, "w2 class")
-            if len(self.w2_class) != self.base.mod2_fragment.h2_dim:
-                raise ValueError("w2 class has the wrong length")
-            if self.w2_zero != (not any(self.w2_class)):
-                raise ValueError("w2_zero flag contradicts the w2 class vector")
+        _check_p1_and_w2(self)
 
     def to_dict(self) -> dict:
         return {
@@ -103,19 +109,7 @@ class Bundle5Data:
     w4_class: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        require_valid(self.base)
-        if self.p1.group != cohomology(self.base, 4):
-            raise ValueError("bundle p1 must live in H^4(M;Z) of the base")
-        if (self.w2_class is None) != (self.base.mod2_fragment is None):
-            raise ValueError(
-                "w2 class must be present exactly when the base has a mod-2 fragment"
-            )
-        if self.w2_class is not None:
-            _check_class_vector(self.base, self.w2_class, "w2 class")
-            if len(self.w2_class) != self.base.mod2_fragment.h2_dim:
-                raise ValueError("w2 class has the wrong length")
-            if self.w2_zero != (not any(self.w2_class)):
-                raise ValueError("w2_zero flag contradicts the w2 class vector")
+        _check_p1_and_w2(self)
         if self.w4_class is not None:
             _check_class_vector(self.base, self.w4_class, "w4 class")
             if len(self.w4_class) != len(mod2_class_moduli(self.base)):
@@ -228,12 +222,11 @@ def necessary_conditions(bundle: Bundle5Data) -> NecessaryConditions:
 def obstruction_report(bundle: Bundle5Data) -> ObstructionReport:
     """Evaluate the primary obstruction and, where identified, the secondary.
 
-    The mod-5 part tests the image of p1 under the coefficient
-    reduction Z -> Z_5 (equivalently: divisibility of p1 by 5, since
-    the kernel of reduction is 5 H^4).  The mod-2 part is w4.
+    The mod-5 part is the image of p1 in H^4 (x) Z_5, which vanishes
+    iff 5 divides p1 because the kernel of G -> G (x) Z_5 is 5G.  The
+    mod-2 part is w4.
     """
-    mod5_image = tensor_reduction(bundle.p1, 5)
-    k1_mod5 = not any(mod5_image)
+    k1_mod5 = solve_divisibility(bundle.p1, 5) is not None
     k1_mod2 = bundle.w4_zero
     k2 = None
     if k1_mod5 and k1_mod2 and bundle.w2_zero:
@@ -254,7 +247,6 @@ def tangent_bundle_classes(profile: ManifoldProfile) -> Bundle5Data:
     or H^4(M;Z_2) has dimension 1 so the nonzero class is unique), the
     class vector is filled in; otherwise only the flag travels.
     """
-    require_valid(profile)
     frag = profile.mod2_fragment
     w2_class = frag.w2_class if frag is not None else None
     w4_class = None
@@ -274,23 +266,3 @@ def tangent_bundle_classes(profile: ManifoldProfile) -> Bundle5Data:
         w2_class=w2_class,
         w4_class=w4_class,
     )
-
-
-def rep_pullback_constants() -> dict[str, str]:
-    """Pullback table of the classifying map of the irreducible representation.
-
-    Documentation constants for trace output; no computation consumes
-    them.  Note the p1 entry carries the factor 10 from the classifying
-    space normalization, while concrete bundle arithmetic in this
-    module uses the factor 5 of the symmetric trace-free construction;
-    the two normalizations are recorded side by side, not reconciled.
-    """
-    return {
-        "p1": "10*p1",
-        "p2": "9*p1^2",
-        "w2": "w2",
-        "w3": "w3",
-        "w4": "0",
-        "w5": "0",
-        "torus_restriction": "z -> (z, z^2)",
-    }

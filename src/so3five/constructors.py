@@ -8,10 +8,11 @@ oriented 4-manifolds via the Gysin sequence.  An exhaustive bounded
 search for Euler classes with prescribed orthogonality and torsion
 completes the circle-bundle pipeline.
 
-Every constructor returns a profile that passes topology.validate();
-internal cross-checks (signature theorem, content invariance under the
-unimodular intersection form, the dual cokernel computation of the
-torsion) are asserted on every call.
+Every constructor returns a profile that passes topology.validate(),
+which ManifoldProfile runs when it is built; internal cross-checks
+(signature theorem, content invariance under the unimodular
+intersection form, the dual cokernel computation of the torsion) are
+asserted on every call.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .fgab import (
     direct_sum_elements,
     vector_content,
 )
-from .topology import ManifoldProfile, Mod2Fragment, require_valid
+from .topology import ManifoldProfile, Mod2Fragment
 
 
 __all__ = [
@@ -327,9 +328,7 @@ def catalog(name: str) -> ManifoldProfile:
     except KeyError:
         known = ", ".join(catalog_names())
         raise ValueError(f"unknown catalog name {name!r} (known: {known})") from None
-    profile = builder()
-    require_valid(profile)
-    return profile
+    return builder()
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +345,11 @@ def connected_sum(a: ManifoldProfile, b: ManifoldProfile) -> ManifoldProfile:
     coordinates are rewritten by an element-dependent isomorphism during
     the merge, and carrying the tables through it is not implemented.
     """
-    require_valid(a)
-    require_valid(b)
     middle = tuple(a.homology[i].direct_sum(b.homology[i]) for i in range(1, 5))
     homology = (_Z,) + middle + (_Z,)
     p1 = direct_sum_elements([a.p1, b.p1])
     assert p1.group == FgAbGroup(homology[4].free_rank, homology[3].torsion)
-    out = ManifoldProfile(
+    return ManifoldProfile(
         name=f"{a.name} # {b.name}",
         homology=homology,
         spin=a.spin and b.spin,
@@ -360,8 +357,6 @@ def connected_sum(a: ManifoldProfile, b: ManifoldProfile) -> ManifoldProfile:
         p1=p1,
         mod2_fragment=None,
     )
-    require_valid(out)
-    return out
 
 
 def _kunneth(
@@ -400,7 +395,7 @@ def product_3x2(n3_homology: object, genus: int) -> ManifoldProfile:
     surface = (_Z, FgAbGroup(2 * genus, ()), _Z)
     homology = tuple(_kunneth(n3, surface, k) for k in range(6))
     h4 = FgAbGroup(homology[4].free_rank, homology[3].torsion)
-    out = ManifoldProfile(
+    return ManifoldProfile(
         name=f"N3(H1={n3[1]}) x Sigma_{genus}",
         homology=homology,
         spin=True,
@@ -408,8 +403,6 @@ def product_3x2(n3_homology: object, genus: int) -> ManifoldProfile:
         p1=h4.zero(),
         mod2_fragment=None,
     )
-    require_valid(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +497,7 @@ def circle_bundle(spec: CircleBundleSpec) -> ManifoldProfile:
         w2_class=tuple(w[i] % 2 for i in basis),
     )
 
-    out = ManifoldProfile(
+    return ManifoldProfile(
         name="S1-bundle(c=" + ",".join(str(x) for x in c) + ")",
         homology=homology,
         spin=spin,
@@ -512,8 +505,6 @@ def circle_bundle(spec: CircleBundleSpec) -> ManifoldProfile:
         p1=p1,
         mod2_fragment=fragment,
     )
-    require_valid(out)
-    return out
 
 
 def find_euler_class(

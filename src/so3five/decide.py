@@ -30,7 +30,6 @@ from .topology import (
     kervaire_semicharacteristic,
     mod4_class_moduli,
     pontryagin_square,
-    require_valid,
     semicharacteristic,
     zero_mod4_class,
 )
@@ -93,7 +92,6 @@ def decide_irreducible_so3(profile: ManifoldProfile) -> Decision:
     Unknown otherwise.  Simply connected profiles get the shortcut
     citation prefixed and the parity restatement recorded.
     """
-    require_valid(profile)
     h4 = cohomology(profile, 4)
     simply_connected = profile.homology[1].is_trivial()
     p1_div5 = solve_divisibility(profile.p1, 5) is not None
@@ -193,7 +191,6 @@ def decide_two_field(profile: ManifoldProfile, criterion: str = "atiyah") -> Dec
     semi-characteristic, requires spin; the w4 hypothesis is recorded
     as forced by the Wu formula in dimension 5.
     """
-    require_valid(profile)
     if criterion == "atiyah":
         k = kervaire_semicharacteristic(profile)
         trace = (
@@ -276,12 +273,11 @@ def rank3_bundle_exists(
     the classification (closed oriented 5-manifold, no order-4 torsion
     in H^4) are recorded in the trace with their actual truth values.
     """
-    require_valid(profile)
     if profile.mod2_fragment is None:
         raise ValueError("insufficient ring data: profile has no mod-2 fragment")
-    if p1_candidate.group != cohomology(profile, 4):
-        raise ValueError("candidate p1 must live in H^4(M;Z)")
     h4 = cohomology(profile, 4)
+    if p1_candidate.group != h4:
+        raise ValueError("candidate p1 must live in H^4(M;Z)")
     lhs = tensor_reduction(p1_candidate, 4)
     rhs = pontryagin_square(profile, tuple(w2_class))
     equal = lhs == rhs
@@ -308,7 +304,6 @@ def rank5_relation_holds(profile: ManifoldProfile, bundle: Bundle5Data) -> bool:
     does not vanish and no w4 class vector is available the relation
     cannot be evaluated and the call refuses.
     """
-    require_valid(profile)
     if profile.mod2_fragment is None:
         raise ValueError("insufficient ring data: profile has no mod-2 fragment")
     if bundle.base != profile:

@@ -9,7 +9,10 @@ basis of H^2(M; Z_2)) for bundle-existence checks.
 Cohomology is never stored: it is derived from homology through the
 universal coefficient theorem, so the profile cannot drift out of sync
 with itself.  The validator enforces the Poincare duality constraints
-that a closed oriented connected 5-manifold imposes on such data.
+that a closed oriented connected 5-manifold imposes on such data, and
+it runs when a profile is built: constructing an invalid
+``ManifoldProfile`` raises ``ProfileValidationError``, so every profile
+that exists is valid and no consumer checks again.
 
 Degree-4 coefficient classes (values of cup products mod 2 and of
 Pontryagin squares mod 4) are represented in *matched coordinates*:
@@ -60,7 +63,6 @@ __all__ = [
 
 
 _TRIVIAL = FgAbGroup.trivial()
-_Z2 = FgAbGroup(0, (2,))
 
 
 class CoefficientRing(Enum):
@@ -102,7 +104,9 @@ class ManifoldProfile:
     """Invariants of a closed oriented connected 5-manifold.
 
     The name is a label only and does not participate in equality;
-    profiles are equal iff their invariants are.
+    profiles are equal iff their invariants are.  Construction runs
+    ``validate`` and raises ``ProfileValidationError`` listing every
+    violation, so an instance is always a valid profile.
     """
 
     name: str = field(compare=False)
@@ -116,10 +120,11 @@ class ManifoldProfile:
         if len(self.homology) != 6:
             raise ValueError("a 5-manifold profile needs homology H_0..H_5")
         object.__setattr__(self, "homology", tuple(self.homology))
+        require_valid(self)
 
 
 class ProfileValidationError(ValueError):
-    """Raised when an operation requires a valid profile."""
+    """Raised when a profile that violates the validator is built."""
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
@@ -154,13 +159,14 @@ def cohomology(
 
 
 def homology_mod2_dimension(profile: ManifoldProfile, i: int) -> int:
-    """dim over Z_2 of H_i(M; Z_2) = H_i (x) Z_2 + Tor(H_{i-1}, Z_2)."""
+    """dim over Z_2 of H_i(M; Z_2) = H_i (x) Z_2 + Tor(H_{i-1}, Z_2).
+
+    The same universal-coefficient sum gives H^i(M; Z_2), so this is the
+    Z_2-dimension of ``cohomology(profile, i, Z2)``; 0 outside 0..5.
+    """
     if not 0 <= i <= 5:
         return 0
-    h = profile.homology[i]
-    prev = profile.homology[i - 1] if i >= 1 else _TRIVIAL
-    g = h.tensor(_Z2).direct_sum(prev.tor(_Z2))
-    return len(g.torsion)
+    return mod_p_dimension(cohomology(profile, i, CoefficientRing.Z2), 2)
 
 
 def semicharacteristic(profile: ManifoldProfile) -> int:

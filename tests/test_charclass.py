@@ -8,13 +8,18 @@ from so3five.charclass import (
     degree5_twist,
     necessary_conditions,
     obstruction_report,
-    rep_pullback_constants,
     sym0_classes,
     tangent_bundle_classes,
 )
 from so3five.constructors import CircleBundleSpec, catalog, circle_bundle, hypersurface
 from so3five.fgab import FgAbGroup, tensor_reduction
-from so3five.topology import ManifoldProfile, Mod2Fragment, cohomology, semicharacteristic
+from so3five.topology import (
+    ManifoldProfile,
+    Mod2Fragment,
+    ProfileValidationError,
+    cohomology,
+    semicharacteristic,
+)
 
 Z = FgAbGroup(1)
 ZERO = FgAbGroup.trivial()
@@ -103,15 +108,16 @@ class TestRecordValidation:
             )
 
     def test_invalid_base_rejected(self):
-        bad = ManifoldProfile(
-            name="bad",
-            homology=(Z, Z, ZERO, ZERO, ZERO, Z),
-            spin=True,
-            w4_is_zero=True,
-            p1=ZERO.zero(),
-        )
-        with pytest.raises(Exception):
-            Bundle3Data(base=bad, w2_zero=True, p1=ZERO.zero())
+        # the bad base cannot be built, so no bundle record can sit on it
+        with pytest.raises(ProfileValidationError) as exc_info:
+            ManifoldProfile(
+                name="bad",
+                homology=(Z, Z, ZERO, ZERO, ZERO, Z),
+                spin=True,
+                w4_is_zero=True,
+                p1=ZERO.zero(),
+            )
+        assert "rank H4 must equal rank H1 (Poincare duality)" in exc_info.value.violations
 
 
 class TestSym0:
@@ -251,20 +257,3 @@ class TestTangentClasses:
         assert not tb.w4_zero
         assert tb.w4_class is None
         assert tb.w2_class == (1,)
-
-
-class TestRepPullbackTable:
-    def test_table_contents(self):
-        table = rep_pullback_constants()
-        assert table["p1"] == "10*p1"
-        assert table["p2"] == "9*p1^2"
-        assert table["w4"] == "0"
-        assert table["w5"] == "0"
-        assert table["w2"] == "w2"
-        assert table["w3"] == "w3"
-        assert "z" in table["torus_restriction"]
-
-    def test_table_is_fresh_per_call(self):
-        a = rep_pullback_constants()
-        a["p1"] = "tampered"
-        assert rep_pullback_constants()["p1"] == "10*p1"

@@ -32,7 +32,6 @@ ZERO = FgAbGroup.trivial()
 
 
 def plain_profile(homology, spin=True, w4=True, p1_torsion=(), name="test"):
-    h4 = homology[4].direct_sum(FgAbGroup(0, homology[3].torsion)) if False else None
     group = FgAbGroup(homology[4].free_rank, homology[3].torsion)
     return ManifoldProfile(
         name=name,
@@ -57,55 +56,64 @@ class TestValidator:
             assert validate(catalog(name)) == []
 
     def test_h0_h5(self):
-        p = plain_profile([ZERO, ZERO, ZERO, ZERO, ZERO, Z])
-        assert any("H0" in v for v in validate(p))
-        p = plain_profile([Z, ZERO, ZERO, ZERO, ZERO, FgAbGroup(2)])
-        assert any("H5" in v for v in validate(p))
+        with pytest.raises(ProfileValidationError) as exc_info:
+            plain_profile([ZERO, ZERO, ZERO, ZERO, ZERO, Z])
+        assert any("H0" in v for v in exc_info.value.violations)
+        with pytest.raises(ProfileValidationError) as exc_info:
+            plain_profile([Z, ZERO, ZERO, ZERO, ZERO, FgAbGroup(2)])
+        assert any("H5" in v for v in exc_info.value.violations)
 
     def test_h4_torsion_free(self):
-        bad = ManifoldProfile(
-            name="bad",
-            homology=(Z, ZERO, ZERO, ZERO, FgAbGroup(0, (3,)), Z),
-            spin=True,
-            w4_is_zero=True,
-            p1=FgAbGroup.trivial().zero(),
-        )
-        assert "H4 must be torsion-free" in validate(bad)
+        with pytest.raises(ProfileValidationError) as exc_info:
+            ManifoldProfile(
+                name="bad",
+                homology=(Z, ZERO, ZERO, ZERO, FgAbGroup(0, (3,)), Z),
+                spin=True,
+                w4_is_zero=True,
+                p1=FgAbGroup.trivial().zero(),
+            )
+        assert "H4 must be torsion-free" in exc_info.value.violations
 
     def test_poincare_duality_violations(self):
         # rank H4 != rank H1
-        p = plain_profile([Z, Z, ZERO, ZERO, ZERO, Z])
-        assert validate(p)
+        with pytest.raises(ProfileValidationError) as exc_info:
+            plain_profile([Z, Z, ZERO, ZERO, ZERO, Z])
+        assert exc_info.value.violations
         # torsion H3 != torsion H1
-        p = plain_profile([Z, FgAbGroup(0, (2,)), ZERO, ZERO, ZERO, Z])
-        assert validate(p)
+        with pytest.raises(ProfileValidationError) as exc_info:
+            plain_profile([Z, FgAbGroup(0, (2,)), ZERO, ZERO, ZERO, Z])
+        assert exc_info.value.violations
         # b2 != b3
-        p = plain_profile([Z, ZERO, Z, ZERO, ZERO, Z])
-        assert validate(p)
+        with pytest.raises(ProfileValidationError) as exc_info:
+            plain_profile([Z, ZERO, Z, ZERO, ZERO, Z])
+        assert exc_info.value.violations
 
     def test_p1_group_must_match_h4_cohomology(self):
-        p = ManifoldProfile(
-            name="bad-p1",
-            homology=(Z, ZERO, ZERO, ZERO, ZERO, Z),
-            spin=True,
-            w4_is_zero=True,
-            p1=FgAbGroup(1).element((5,), ()),
-        )
-        assert any("p1" in v for v in validate(p))
+        with pytest.raises(ProfileValidationError) as exc_info:
+            ManifoldProfile(
+                name="bad-p1",
+                homology=(Z, ZERO, ZERO, ZERO, ZERO, Z),
+                spin=True,
+                w4_is_zero=True,
+                p1=FgAbGroup(1).element((5,), ()),
+            )
+        assert any("p1" in v for v in exc_info.value.violations)
 
     def test_spin_forces_w4_zero(self):
-        p = plain_profile([Z, ZERO, ZERO, ZERO, ZERO, Z], spin=True, w4=False)
-        assert validate(p)
+        with pytest.raises(ProfileValidationError) as exc_info:
+            plain_profile([Z, ZERO, ZERO, ZERO, ZERO, Z], spin=True, w4=False)
+        assert exc_info.value.violations
 
     def test_vanishing_mod2_h4_forces_w4_zero(self):
         # here H^4(M;Z_2) = 0, so the w4 flag cannot be False
-        p = plain_profile([Z, ZERO, Z, Z, ZERO, Z], spin=False, w4=False)
-        assert validate(p)
+        with pytest.raises(ProfileValidationError) as exc_info:
+            plain_profile([Z, ZERO, Z, Z, ZERO, Z], spin=False, w4=False)
+        assert exc_info.value.violations
 
     def test_require_valid_raises_with_violations(self):
-        p = plain_profile([Z, Z, ZERO, ZERO, ZERO, Z])
+        # construction runs require_valid, so the invalid profile never exists
         with pytest.raises(ProfileValidationError) as exc_info:
-            require_valid(p)
+            plain_profile([Z, Z, ZERO, ZERO, ZERO, Z])
         assert exc_info.value.violations
 
     def test_homology_length_enforced_early(self):
@@ -122,27 +130,29 @@ class TestValidator:
 class TestFragmentValidation:
     def test_dimension_must_match_mod2_h2(self):
         frag = Mod2Fragment(h2_dim=2, cup22=(((),), ((),)), psquare=((), ()), w2_class=(0, 0))
-        p = ManifoldProfile(
-            name="frag",
-            homology=(Z, ZERO, Z, Z, ZERO, Z),
-            spin=True,
-            w4_is_zero=True,
-            p1=ZERO.zero(),
-            mod2_fragment=frag,
-        )
-        assert any("fragment" in v or "dim" in v for v in validate(p))
+        with pytest.raises(ProfileValidationError) as exc_info:
+            ManifoldProfile(
+                name="frag",
+                homology=(Z, ZERO, Z, Z, ZERO, Z),
+                spin=True,
+                w4_is_zero=True,
+                p1=ZERO.zero(),
+                mod2_fragment=frag,
+            )
+        assert any("fragment" in v or "dim" in v for v in exc_info.value.violations)
 
     def test_w2_class_zero_iff_spin(self):
         frag = Mod2Fragment(h2_dim=1, cup22=(((),),), psquare=((),), w2_class=(1,))
-        p = ManifoldProfile(
-            name="frag",
-            homology=(Z, ZERO, Z, Z, ZERO, Z),
-            spin=True,
-            w4_is_zero=True,
-            p1=ZERO.zero(),
-            mod2_fragment=frag,
-        )
-        assert validate(p)
+        with pytest.raises(ProfileValidationError) as exc_info:
+            ManifoldProfile(
+                name="frag",
+                homology=(Z, ZERO, Z, Z, ZERO, Z),
+                spin=True,
+                w4_is_zero=True,
+                p1=ZERO.zero(),
+                mod2_fragment=frag,
+            )
+        assert exc_info.value.violations
 
     def test_cup_symmetry_enforced(self):
         lens = circle_bundle(CircleBundleSpec(hypersurface(1), (4,)))
@@ -154,15 +164,16 @@ class TestFragmentValidation:
             w2_class=(1, 0),
         )
         base = circle_bundle(CircleBundleSpec(hypersurface(2), (2, 0)))
-        p = ManifoldProfile(
-            name="asym",
-            homology=base.homology,
-            spin=base.spin,
-            w4_is_zero=base.w4_is_zero,
-            p1=base.p1,
-            mod2_fragment=bad,
-        )
-        assert any("symmetric" in v for v in validate(p))
+        with pytest.raises(ProfileValidationError) as exc_info:
+            ManifoldProfile(
+                name="asym",
+                homology=base.homology,
+                spin=base.spin,
+                w4_is_zero=base.w4_is_zero,
+                p1=base.p1,
+                mod2_fragment=bad,
+            )
+        assert any("symmetric" in v for v in exc_info.value.violations)
         assert frag is not None and validate(lens) == []
 
     def test_psquare_doubling_law_enforced(self):
@@ -175,15 +186,16 @@ class TestFragmentValidation:
             psquare=((2,),),
             w2_class=good.w2_class,
         )
-        p = ManifoldProfile(
-            name="lawless",
-            homology=lens.homology,
-            spin=lens.spin,
-            w4_is_zero=lens.w4_is_zero,
-            p1=lens.p1,
-            mod2_fragment=bad,
-        )
-        assert validate(p)
+        with pytest.raises(ProfileValidationError) as exc_info:
+            ManifoldProfile(
+                name="lawless",
+                homology=lens.homology,
+                spin=lens.spin,
+                w4_is_zero=lens.w4_is_zero,
+                p1=lens.p1,
+                mod2_fragment=bad,
+            )
+        assert exc_info.value.violations
 
 
 class TestCohomology:
