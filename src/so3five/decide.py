@@ -16,11 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .charclass import (
-    Bundle5Data,
-    necessary_conditions,
-    tangent_bundle_classes,
-)
+from .charclass import Bundle5Data
 from .fgab import GroupElement, has_element_of_order, solve_divisibility, tensor_reduction
 from .topology import (
     ManifoldProfile,
@@ -153,25 +149,16 @@ def decide_irreducible_so3(profile: ManifoldProfile) -> Decision:
             "H^4(M;Z) contains an element of order 4", f"H^4(M;Z) = {h4}", True
         )
     )
-    conditions = necessary_conditions(tangent_bundle_classes(profile))
     trace.append(
-        TraceLine(
-            "necessary: p1(M) divisible by 5",
-            f"p1(M) = {profile.p1}",
-            conditions.p1_divisible_by_5,
-        )
+        TraceLine("necessary: p1(M) divisible by 5", f"p1(M) = {profile.p1}", p1_div5)
     )
     trace.append(
-        TraceLine(
-            "necessary: w4(M) = 0", _bool(conditions.w4_zero), conditions.w4_zero
-        )
+        TraceLine("necessary: w4(M) = 0", _bool(profile.w4_is_zero), profile.w4_is_zero)
     )
     trace.append(
-        TraceLine(
-            "necessary: w5(M) = 0", "true (closed odd-dimensional)", conditions.w5_zero
-        )
+        TraceLine("necessary: w5(M) = 0", "true (closed odd-dimensional)", True)
     )
-    if not conditions.passes:
+    if not (p1_div5 and profile.w4_is_zero):
         return Decision(Verdict.NO, "Prop 2.4", tuple(trace))
     trace.append(
         TraceLine(

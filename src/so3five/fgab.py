@@ -96,13 +96,6 @@ class IntegerMatrix:
             n, n, tuple(tuple(vals[i] if i == j else 0 for j in range(n)) for i in range(n))
         )
 
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
-
     def multiply(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix dimensions do not compose")
@@ -295,12 +288,20 @@ def smith_normal_form(A: IntegerMatrix) -> SnfDecomposition:
 
 
 def _factorize(n: int) -> dict[int, int]:
-    """Prime factorisation by trial division (inputs here are small)."""
+    """Prime factorisation by trial division, which gives up past 10**6:
+    torsion coefficients of realistic profiles factor far below that, and
+    a cofactor with two larger prime factors would keep it going for ages."""
     if n < 1:
         raise ValueError("factorisation needs a positive integer")
+    original = n
     out: dict[int, int] = {}
     p = 2
     while p * p <= n:
+        if p > 10**6:
+            raise ValueError(
+                f"cannot factor the torsion coefficient {original}: "
+                "trial division stops at 10**6"
+            )
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
@@ -345,9 +346,13 @@ class FgAbGroup:
         """Canonicalise a direct sum of cyclic groups.
 
         Order 0 means an infinite cyclic factor, order 1 a trivial one.
-        Any other list of orders is smoothed into a divisibility chain
-        with repeated gcd/lcm exchanges (which preserve the isomorphism
-        type of the direct sum).
+        The other orders d_i are smoothed into a divisibility chain by
+        one pass that, for i < j with d_i not dividing d_j, replaces
+        (d_i, d_j) by (gcd, lcm), keeping the isomorphism type.  Once
+        row i is done, d_i divides every later entry, and later rows
+        keep it so: the gcd and lcm of two multiples of d_i are again
+        multiples of d_i.  One pass thus leaves an ascending chain,
+        with any 1s from coprime pairs in front.
 
         >>> FgAbGroup.from_cyclic_orders(0, [6, 4])
         FgAbGroup(free_rank=0, torsion=(2, 12))
@@ -355,17 +360,12 @@ class FgAbGroup:
         ds = [abs(int(d)) for d in orders]
         free = int(free_rank) + ds.count(0)
         ds = [d for d in ds if d >= 2]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(ds)):
-                for j in range(i + 1, len(ds)):
-                    if ds[j] % ds[i]:
-                        g = gcd(ds[i], ds[j])
-                        ds[i], ds[j] = g, ds[i] * ds[j] // g
-                        changed = True
-        ds = sorted(d for d in ds if d >= 2)
-        return cls(free, tuple(ds))
+        for i in range(len(ds)):
+            for j in range(i + 1, len(ds)):
+                if ds[j] % ds[i]:
+                    g = gcd(ds[i], ds[j])
+                    ds[i], ds[j] = g, ds[i] * ds[j] // g
+        return cls(free, tuple(d for d in ds if d >= 2))
 
     @classmethod
     def trivial(cls) -> "FgAbGroup":
@@ -375,9 +375,6 @@ class FgAbGroup:
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-    def torsion_subgroup(self) -> "FgAbGroup":
-        return FgAbGroup(0, self.torsion)
 
     def order(self) -> int | None:
         """Number of elements, or None when the group is infinite."""

@@ -1,6 +1,11 @@
 """Command-line interface: exit codes, output shapes, recipes."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +18,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """The CLI as a fresh process, capped at 10 s and 2 GB of address space."""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-m", "so3five.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=cap_memory,
+    )
+    return result.returncode, result.stdout, result.stderr
 
 
 class TestExitCodes:
@@ -292,6 +315,42 @@ class TestRecipes:
         f.write_text(json.dumps(profile))
         code, _, err = run(capsys, "decide", "irreducible-so3", str(f))
         assert code == 2
+
+
+class TestOversizedInputs:
+    """Inputs too large to evaluate fail fast with exit 1, not a hang."""
+
+    def test_hypersurface_degree_above_range(self, tmp_path):
+        recipe = {
+            "construction": "circle_bundle",
+            "base": {"construction": "hypersurface", "degree": 300},
+            "euler_class": [1],
+        }
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(recipe))
+        code, out, err = run_process("decide", "irreducible-so3", str(f))
+        assert code == 1 and out == ""
+        assert err == "error: hypersurface degree 300 is too large: the supported range is 1..12\n"
+
+    def test_connected_sum_with_unfactorable_torsion(self, tmp_path):
+        big = 2**61 - 1  # prime, far past the trial-division limit
+        torsion = {"free": 0, "torsion": [big]}
+        raw = {
+            "name": "big",
+            "homology": [{"free": 1, "torsion": []}, torsion, {"free": 0, "torsion": []},
+                         torsion, {"free": 0, "torsion": []}, {"free": 1, "torsion": []}],
+            "spin": True,
+            "w4_zero": True,
+            "p1": {"free": [], "torsion": [0]},
+        }
+        recipe = {"construction": "connected_sum",
+                  "parts": [raw, {"construction": "catalog", "name": "s5"}]}
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(recipe))
+        code, out, err = run_process("decide", "irreducible-so3", str(f))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot factor the torsion coefficient {big}")
+        assert "Traceback" not in err
 
 
 class TestReproduce:

@@ -5,6 +5,7 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from so3five.fgab import (
     FgAbGroup,
     GroupElement,
     IntegerMatrix,
+    _factorize,
     cokernel,
     cokernel_with_projection,
     direct_sum_elements,
@@ -167,6 +169,31 @@ class TestFgAbGroup:
         assert FgAbGroup.from_cyclic_orders(1, [0, 1, 5]) == FgAbGroup(2, (5,))
         assert FgAbGroup.from_cyclic_orders(0, []) == FgAbGroup.trivial()
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(0, 3),
+        st.lists(st.one_of(st.sampled_from([0, 1]), st.integers(2, 720)), max_size=8),
+    )
+    def test_from_cyclic_orders_matches_prime_power_oracle(self, rank, orders):
+        # elementary divisors per prime, largest exponents first, recombined
+        # into invariant factors from the top of the chain down
+        powers: dict[int, list[int]] = {}
+        for d in orders:
+            if d >= 2:
+                for p, e in sympy.factorint(d).items():
+                    powers.setdefault(p, []).append(e)
+        depth = max((len(es) for es in powers.values()), default=0)
+        factors = []
+        for k in range(depth):
+            f = 1
+            for p, es in powers.items():
+                es_desc = sorted(es, reverse=True)
+                if k < len(es_desc):
+                    f *= p ** es_desc[k]
+            factors.append(f)
+        expected = FgAbGroup(rank + orders.count(0), tuple(reversed(factors)))
+        assert FgAbGroup.from_cyclic_orders(rank, orders) == expected
+
     def test_str(self):
         assert str(FgAbGroup.trivial()) == "0"
         assert str(FgAbGroup(1)) == "Z"
@@ -222,6 +249,18 @@ class TestFgAbGroup:
         assert mod_p_dimension(g, 2) == 5
         assert mod_p_dimension(g, 3) == 4
         assert mod_p_dimension(g, 5) == 2
+
+
+class TestFactorize:
+    def test_exact_below_the_trial_division_limit(self):
+        assert _factorize(2**40 * 3**5 * 999983) == {2: 40, 3: 5, 999983: 1}
+        assert sympy.isprime(999999999989)  # largest prime below 10**12
+        assert _factorize(999999999989) == {999999999989: 1}
+
+    @pytest.mark.parametrize("n", [1000003**2, 1000003 * 1000033, 6 * 1000003 * 1000033])
+    def test_refuses_cofactors_past_the_limit(self, n):
+        with pytest.raises(ValueError, match=str(n)):
+            _factorize(n)
 
 
 def random_group(rng: random.Random, max_rank: int = 2) -> FgAbGroup:
