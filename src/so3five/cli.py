@@ -48,6 +48,7 @@ from .topology import (
     ProfileValidationError,
     cohomology,
     group_from_dict,
+    json_int,
     kervaire_semicharacteristic,
     profile_from_dict,
     profile_to_dict,
@@ -75,7 +76,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_hypersurface_base(data: object) -> FourManifoldProfile:
     if not isinstance(data, dict) or data.get("construction") != "hypersurface":
         raise ValueError('circle_bundle base must be {"construction": "hypersurface", "degree": d}')
-    return hypersurface(int(data["degree"]))
+    return hypersurface(json_int(data["degree"], "degree"))
 
 
 def parse_recipe(data: object) -> ManifoldProfile:
@@ -104,13 +105,15 @@ def parse_recipe(data: object) -> ManifoldProfile:
             return out
         if kind == "product_3x2":
             groups = tuple(group_from_dict(g) for g in data["n3_homology"])
-            return product_3x2(groups, int(data["genus"]))
+            return product_3x2(groups, json_int(data["genus"], "genus"))
         if kind == "circle_bundle":
             base = _parse_hypersurface_base(data["base"])
-            euler = tuple(int(x) for x in data["euler_class"])
+            euler = tuple(json_int(x, "euler_class entry") for x in data["euler_class"])
             return circle_bundle(CircleBundleSpec(base, euler))
     except KeyError as exc:
         raise ValueError(f"recipe for {kind!r} is missing field {exc}") from exc
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"malformed recipe for {kind!r}: {exc}") from exc
     raise ValueError(f"unknown construction {kind!r}")
 
 

@@ -52,24 +52,26 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _symmetric_pivots(q: IntegerMatrix) -> list[Fraction]:
-    """Congruence-diagonalize a symmetric matrix, returning the pivots.
+def _determinant_and_signature(q: IntegerMatrix) -> tuple[int, int]:
+    """Determinant and signature of a symmetric integer matrix, exactly.
 
-    Fractions keep every step exact.  Simultaneous row/column swaps,
-    symmetric additions and the elimination steps all preserve the
-    determinant, so the pivot product equals det(q); the pivot signs
-    give the signature.  Zero rows yield zero pivots.  Updates touch
-    only the support of the pivot row, so block forms stay cheap.
+    The matrix is congruence-diagonalized over Fractions.  Simultaneous
+    row/column swaps, symmetric additions and the elimination steps all
+    preserve the determinant, so the pivot product equals det(q), and
+    the pivot signs give the signature.  Zero rows yield zero pivots.
+    Updates touch only the support of the pivot row, so block forms
+    stay cheap.
     """
     if not q.is_symmetric():
-        raise ValueError("signature needs a symmetric matrix")
+        raise ValueError("intersection form must be symmetric")
     n = q.rows
     a = [[Fraction(x) for x in row] for row in q.entries]
-    pivots: list[Fraction] = []
+    determinant = Fraction(1)
+    signature = 0
     for t in range(n):
         if a[t][t] == 0:
             if all(a[t][j] == 0 for j in range(t, n)):
-                pivots.append(Fraction(0))
+                determinant = Fraction(0)
                 continue
             k = next((i for i in range(t + 1, n) if a[i][i] != 0), None)
             if k is not None:
@@ -85,7 +87,8 @@ def _symmetric_pivots(q: IntegerMatrix) -> list[Fraction]:
                 for row in a:
                     row[t] += row[j]
         pivot = a[t][t]
-        pivots.append(pivot)
+        determinant *= pivot
+        signature += 1 if pivot > 0 else -1
         support = [j for j in range(t + 1, n) if a[t][j] != 0]
         if not support:
             continue
@@ -99,18 +102,7 @@ def _symmetric_pivots(q: IntegerMatrix) -> list[Fraction]:
             for j in support:
                 row_i[j] -= ratio * row_t[j]
             row_i[t] = Fraction(0)
-    return pivots
-
-
-def _signature_of_symmetric(q: IntegerMatrix) -> int:
-    """Signature of a symmetric integer matrix, exactly."""
-    sig = 0
-    for pivot in _symmetric_pivots(q):
-        if pivot > 0:
-            sig += 1
-        elif pivot < 0:
-            sig -= 1
-    return sig
+    return int(determinant), signature
 
 
 @dataclass(frozen=True)
@@ -134,14 +126,7 @@ class FourManifoldProfile:
             raise ValueError("b2 must be nonnegative")
         if self.Q.rows != self.b2 or self.Q.cols != self.b2:
             raise ValueError("intersection form must be b2 x b2")
-        if not self.Q.is_symmetric():
-            raise ValueError("intersection form must be symmetric")
-        pivots = _symmetric_pivots(self.Q)
-        determinant = Fraction(1)
-        signature = 0
-        for pivot in pivots:
-            determinant *= pivot
-            signature += 1 if pivot > 0 else -1 if pivot < 0 else 0
+        determinant, signature = _determinant_and_signature(self.Q)
         if abs(determinant) != 1:
             raise ValueError("intersection form must be unimodular")
         if self.signature != signature:
@@ -520,9 +505,14 @@ def find_euler_class(
     with Q(u, w) = 0, w != u and content(Q (u + w)) = target_torsion.
 
     Returns (c, w) with c = u + w, or None when the box contains no
-    such w.  The last coordinate is solved from the orthogonality
-    constraint instead of enumerated, which preserves the lexicographic
-    order of hits while trimming the search space by one dimension.
+    such w.  Q is unimodular, so content(Q c) = content(c), and that
+    content is t = target_torsion only when t divides every coordinate
+    of c: coordinate i of w runs, in ascending order, over the residue
+    class -u_i mod t inside the box (the single value -u_i for t = 0).
+    The last coordinate is solved from the orthogonality constraint
+    when Q(u, e_last) is nonzero.  Every hit lies in these classes and
+    each range ascends, so the first hit in lexicographic order is the
+    one a scan of the whole box would find.
     """
     u = tuple(int(x) for x in u)
     if len(u) != base.b2:
@@ -533,34 +523,23 @@ def find_euler_class(
         raise ValueError("target torsion must be nonnegative")
     if base.b2 == 0:
         return None
+    t, bound = target_torsion, search_bound
+    if t:
+        ranges = [range(-bound + (bound - ui) % t, bound + 1, t) for ui in u]
+    else:
+        ranges = [range(-ui, 1 - ui) if abs(ui) <= bound else range(0) for ui in u]
     phi_u = base.Q.apply(u)
     last = base.b2 - 1
-    box = range(-search_bound, search_bound + 1)
-
-    def admit(w: tuple[int, ...]):
-        if w == u:
-            return None
-        c = tuple(a + b for a, b in zip(u, w))
-        if vector_content(base.Q.apply(c)) != target_torsion:
-            return None
-        return c
-
-    for prefix in _cartesian(*[box] * last):
+    for prefix in _cartesian(*ranges[:last]):
         partial = sum(p * f for p, f in zip(prefix, phi_u))
         if phi_u[last]:
             q, r = divmod(-partial, phi_u[last])
-            if r or not -search_bound <= q <= search_bound:
-                continue
-            w = prefix + (q,)
-            c = admit(w)
-            if c is not None:
-                return c, w
+            candidates = (q,) if not r and q in ranges[last] else ()
         else:
-            if partial:
-                continue
-            for wl in box:
-                w = prefix + (wl,)
-                c = admit(w)
-                if c is not None:
-                    return c, w
+            candidates = () if partial else ranges[last]
+        for wl in candidates:
+            w = prefix + (wl,)
+            c = tuple(a + b for a, b in zip(u, w))
+            if w != u and vector_content(c) == t:
+                return c, w
     return None

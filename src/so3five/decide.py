@@ -22,12 +22,10 @@ from .topology import (
     ManifoldProfile,
     cohomology,
     homology_mod2_dimension,
-    include_mod2_into_mod4,
     kervaire_semicharacteristic,
     mod4_class_moduli,
     pontryagin_square,
     semicharacteristic,
-    zero_mod4_class,
 )
 
 
@@ -300,11 +298,10 @@ def rank5_relation_holds(profile: ManifoldProfile, bundle: Bundle5Data) -> bool:
     lhs = tensor_reduction(bundle.p1, 4)
     square = pontryagin_square(profile, bundle.w2_class)
     if bundle.w4_zero:
-        w4_term = zero_mod4_class(profile)
-    elif bundle.w4_class is not None:
-        w4_term = include_mod2_into_mod4(profile, bundle.w4_class)
-    else:
+        return lhs == square
+    if bundle.w4_class is None:
         raise ValueError("insufficient ring data: w4 class unknown")
+    # i(w4) doubles componentwise, as in pontryagin_square
     moduli = mod4_class_moduli(profile)
-    rhs = tuple((a + b) % m for a, b, m in zip(square, w4_term, moduli))
+    rhs = tuple((s + 2 * a) % m for s, a, m in zip(square, bundle.w4_class, moduli))
     return lhs == rhs

@@ -271,18 +271,17 @@ def pontryagin_square(profile: ManifoldProfile, x: tuple[int, ...]) -> tuple[int
     Basis values come from the fragment table; the quadratic law
     extends them to arbitrary classes:
     P(sum x_i e_i) = sum x_i P(e_i) + i(sum_{i<j} x_i x_j e_i cup e_j).
-    The inclusion i is a homomorphism, so the cross terms are summed in
-    H^4(M; Z_2) first and included once.
+    The inclusion i doubles componentwise, and 2 (a mod 2) = 2a mod m
+    for every m dividing 4, so each cross term enters the one mod-4 sum
+    doubled, without a mod-2 sum first.
     """
     frag = _require_fragment(profile)
     _check_bits(x, frag.h2_dim, "degree-2 class")
     n = frag.h2_dim
-    cross = _vec_sum(
-        (frag.cup22[i][j] for i in range(n) if x[i] for j in range(i + 1, n) if x[j]),
-        mod2_class_moduli(profile),
-    )
-    terms = [frag.psquare[i] for i in range(n) if x[i]]
-    terms.append(include_mod2_into_mod4(profile, cross))
+    terms = [frag.psquare[i] for i in range(n) if x[i]] + [
+        tuple(2 * a for a in frag.cup22[i][j])
+        for i in range(n) if x[i] for j in range(i + 1, n) if x[j]
+    ]
     return _vec_sum(terms, mod4_class_moduli(profile))
 
 
@@ -392,12 +391,29 @@ def require_valid(profile: ManifoldProfile) -> None:
 # ---------------------------------------------------------------------------
 
 
+def json_int(value: object, what: str) -> int:
+    """A JSON integer as is; bools, floats and strings are refused, not coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_bool(value: object, what: str) -> bool:
+    """A JSON boolean read as is; any other value is refused."""
+    if type(value) is not bool:
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def group_to_dict(group: FgAbGroup) -> dict:
     return {"free": group.free_rank, "torsion": list(group.torsion)}
 
 
 def group_from_dict(data: dict) -> FgAbGroup:
-    return FgAbGroup(int(data["free"]), tuple(int(d) for d in data.get("torsion", ())))
+    return FgAbGroup(
+        json_int(data["free"], "free rank"),
+        tuple(json_int(d, "torsion coefficient") for d in data.get("torsion", ())),
+    )
 
 
 def _fragment_to_dict(frag: Mod2Fragment) -> dict:
@@ -410,13 +426,14 @@ def _fragment_to_dict(frag: Mod2Fragment) -> dict:
 
 
 def _fragment_from_dict(data: dict) -> Mod2Fragment:
+    def vec(values, what: str) -> tuple[int, ...]:
+        return tuple(json_int(a, what) for a in values)
+
     return Mod2Fragment(
-        h2_dim=int(data["h2_dim"]),
-        cup22=tuple(
-            tuple(tuple(int(a) for a in v) for v in row) for row in data["cup22"]
-        ),
-        psquare=tuple(tuple(int(a) for a in v) for v in data["psquare"]),
-        w2_class=tuple(int(b) for b in data["w2_class"]),
+        h2_dim=json_int(data["h2_dim"], "h2_dim"),
+        cup22=tuple(tuple(vec(v, "cup22 entry") for v in row) for row in data["cup22"]),
+        psquare=tuple(vec(v, "psquare entry") for v in data["psquare"]),
+        w2_class=vec(data["w2_class"], "w2_class entry"),
     )
 
 
@@ -445,16 +462,16 @@ def profile_from_dict(data: dict) -> ManifoldProfile:
         p1_data = data.get("p1", {"free": [], "torsion": []})
         p1 = GroupElement(
             h4,
-            tuple(int(c) for c in p1_data.get("free", ())),
-            tuple(int(c) for c in p1_data.get("torsion", ())),
+            tuple(json_int(c, "p1 coordinate") for c in p1_data.get("free", ())),
+            tuple(json_int(c, "p1 coordinate") for c in p1_data.get("torsion", ())),
         )
         frag_data = data.get("mod2_fragment")
         fragment = _fragment_from_dict(frag_data) if frag_data is not None else None
         return ManifoldProfile(
             name=str(data.get("name", "profile")),
             homology=homology,
-            spin=bool(data["spin"]),
-            w4_is_zero=bool(data["w4_zero"]),
+            spin=json_bool(data["spin"], "spin"),
+            w4_is_zero=json_bool(data["w4_zero"], "w4_zero"),
             p1=p1,
             mod2_fragment=fragment,
         )

@@ -317,6 +317,59 @@ class TestRecipes:
         assert code == 2
 
 
+def _bundle_recipe(degree, euler_class):
+    return {
+        "construction": "circle_bundle",
+        "base": {"construction": "hypersurface", "degree": degree},
+        "euler_class": euler_class,
+    }
+
+
+def _product_recipe(torsion, genus):
+    return {
+        "construction": "product_3x2",
+        "n3_homology": [
+            {"free": 1, "torsion": []},
+            {"free": 0, "torsion": torsion},
+            {"free": 0, "torsion": []},
+            {"free": 1, "torsion": []},
+        ],
+        "genus": genus,
+    }
+
+
+def _s5_raw(**changes):
+    return {**profile_to_dict(catalog("s5")), **changes}
+
+
+class TestStrictJsonTypes:
+    """Numbers must be JSON integers, flags JSON booleans and lists lists:
+    anything else exits 1 instead of being truncated, coerced or raised."""
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (_bundle_recipe(3.9, [3, -3, -3, 0, 0, 0, 0]), "degree must be an integer, got 3.9"),
+            (_bundle_recipe(3, [3.7, -3, -3, 0, 0, 0, 0]), "euler_class entry must be an integer, got 3.7"),
+            (_bundle_recipe(3, 5), "malformed recipe for 'circle_bundle': 'int' object is not iterable"),
+            (_product_recipe([2.5], 1), "torsion coefficient must be an integer, got 2.5"),
+            (_product_recipe([2], True), "genus must be an integer, got True"),
+            (_s5_raw(spin="false"), "spin must be true or false, got 'false'"),
+            (_s5_raw(w4_zero=1), "w4_zero must be true or false, got 1"),
+            (
+                _s5_raw(p1={"free": [], "torsion": [False]}),
+                "p1 coordinate must be an integer, got False",
+            ),
+        ],
+    )
+    def test_wrong_json_type_exits_one(self, capsys, tmp_path, data, message):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(data))
+        code, out, err = run(capsys, "invariants", str(f))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestOversizedInputs:
     """Inputs too large to evaluate fail fast with exit 1, not a hang."""
 

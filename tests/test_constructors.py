@@ -1,6 +1,10 @@
 """Geometric constructors: hypersurfaces, catalog, sums, products, circle bundles."""
 
+from itertools import product as cartesian
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from so3five.constructors import (
     CircleBundleSpec,
@@ -14,7 +18,7 @@ from so3five.constructors import (
     hypersurface,
     product_3x2,
 )
-from so3five.fgab import FgAbGroup, IntegerMatrix
+from so3five.fgab import FgAbGroup, IntegerMatrix, vector_content
 from so3five.topology import (
     cohomology,
     kervaire_semicharacteristic,
@@ -118,7 +122,7 @@ class TestHypersurface:
         # n minus twice the sign changes along 1, D_1, ..., D_n
         import random
 
-        from so3five.constructors import _signature_of_symmetric
+        from so3five.constructors import _determinant_and_signature
 
         rng = random.Random(23)
         done = 0
@@ -139,7 +143,7 @@ class TestHypersurface:
                 continue
             seq = [1] + minors
             changes = sum(1 for a, b in zip(seq, seq[1:]) if a * b < 0)
-            assert _signature_of_symmetric(q) == n - 2 * changes
+            assert _determinant_and_signature(q) == (minors[-1], n - 2 * changes)
             done += 1
 
 
@@ -397,3 +401,61 @@ class TestFindEulerClass:
         base = hypersurface(1)
         assert find_euler_class(base, (1,), 3, search_bound=3) is None
         assert find_euler_class(base, (1,), 5, search_bound=0) is None
+
+    @pytest.mark.parametrize(
+        "bound, c, w",
+        [
+            (3, (3, -3, -3, 0, 0, 0, 0), (0, -2, -2, 1, 1, 1, 1)),
+            (4, (0, -3, -3, 0, 3, 3, 3), (-3, -2, -2, 1, 4, 4, 4)),
+            (5, (0, -6, -3, 3, 3, 3, 3), (-3, -5, -2, 4, 4, 4, 4)),
+        ],
+    )
+    def test_cubic_first_hits(self, bound, c, w):
+        assert find_euler_class(hypersurface(3), hyperplane_class(3), 3, bound) == (c, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from([1, -1]), min_size=1, max_size=4).map(
+                lambda signs: ("diagonal", signs)
+            ),
+            st.integers(1, 2).map(lambda k: ("hyperbolic", k)),
+        ),
+        st.data(),
+    )
+    def test_matches_whole_box_oracle(self, form, data):
+        base = _small_base(*form)
+        u = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=base.b2, max_size=base.b2)))
+        target = data.draw(st.integers(0, 7))
+        bound = data.draw(st.integers(0, 3))
+        assert find_euler_class(base, u, target, bound) == _whole_box_euler_class(
+            base, u, target, bound
+        )
+
+
+def _small_base(kind, arg):
+    """A diagonal +-1 form with the given signs, or a sum of arg hyperbolic planes."""
+    if kind == "diagonal":
+        b2, signature = len(arg), sum(arg)
+        q, w2 = IntegerMatrix.diagonal(arg), (1,) * len(arg)
+    else:
+        b2, signature = 2 * arg, 0
+        q = IntegerMatrix.from_rows(
+            [[int(i // 2 == j // 2 and i != j) for j in range(b2)] for i in range(b2)]
+        )
+        w2 = (0,) * b2
+    return FourManifoldProfile(
+        b2=b2, Q=q, w2_vector=w2, euler_char=b2 + 2, p1_eval=3 * signature, signature=signature
+    )
+
+
+def _whole_box_euler_class(base, u, target, bound):
+    """Every w of the box in lexicographic order, with Q applied to each."""
+    phi_u = base.Q.apply(u)
+    for w in cartesian(range(-bound, bound + 1), repeat=base.b2):
+        if w == u or sum(a * b for a, b in zip(phi_u, w)):
+            continue
+        c = tuple(a + b for a, b in zip(u, w))
+        if vector_content(base.Q.apply(c)) == target:
+            return c, w
+    return None

@@ -16,9 +16,10 @@ from so3five.constructors import (
     hypersurface,
     product_3x2,
 )
-from so3five.decide import decide_irreducible_so3
+from so3five.charclass import tangent_bundle_classes
+from so3five.decide import decide_irreducible_so3, rank5_relation_holds
 from so3five.fgab import FgAbGroup
-from so3five.topology import CoefficientRing, cohomology
+from so3five.topology import CoefficientRing, cohomology, pontryagin_square
 
 from test_acceptance import random_simply_connected_profile
 from test_decide import (
@@ -127,3 +128,23 @@ def test_order_four_branch_reads_the_profile_directly(tangent_calls, build):
     decision = decide_irreducible_so3(build())
     assert decision.theorem in ("Prop 2.4", "Remark 4.4")
     assert tangent_calls == []
+
+
+def test_fragment_arithmetic_derives_degree_four_once(monkeypatch):
+    import so3five.topology as topology
+
+    total = circle_bundle(CircleBundleSpec(hypersurface(3), (3, -3, -3, 0, 0, 0, 0)))
+    tangent = tangent_bundle_classes(total)
+    calls = []
+    original = topology.cohomology
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(topology, "cohomology", counting)
+    pontryagin_square(total, (1,) * total.mod2_fragment.h2_dim)
+    assert len(calls) == 1
+    calls.clear()
+    assert rank5_relation_holds(total, tangent)
+    assert len(calls) <= 2
