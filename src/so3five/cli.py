@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from operator import mul
 from pathlib import Path
 
 from .constructors import (
@@ -41,7 +42,7 @@ from .decide import (
     decide_two_field,
     rank3_bundle_exists,
 )
-from .fgab import FgAbGroup, has_element_of_order
+from .fgab import FgAbGroup, has_element_of_order, vector_content
 from .topology import (
     CoefficientRing,
     ManifoldProfile,
@@ -224,8 +225,11 @@ def _run_checks(title: str, checks: list[tuple[str, object, object]], as_json: b
 # ---------------------------------------------------------------------------
 
 
+_PROP17_C_LAWS = "c = u + w with Q(u, w) = 0, content(c) = 3, w in the box and w != u"
+
+
 def _prop17_checks(bound: int) -> list[tuple[str, object, object]]:
-    base = hypersurface(3)
+    base, u = hypersurface(3), hyperplane_class(3)
     checks: list[tuple[str, object, object]] = [
         ("hypersurface(3) b2", base.b2, 7),
         ("hypersurface(3) euler characteristic", base.euler_char, 9),
@@ -233,12 +237,22 @@ def _prop17_checks(bound: int) -> list[tuple[str, object, object]]:
         ("hypersurface(3) p1 evaluation", base.p1_eval, -15),
         ("hypersurface(3) spin", base.spin, False),
     ]
-    found = find_euler_class(base, hyperplane_class(3), 3, bound)
+    found = find_euler_class(base, u, 3, bound)
     checks.append(("euler-class search succeeded", found is not None, True))
     if found is None:
         return checks
-    c, _w = found
-    checks.append(("euler class c", c, (3, -3, -3, 0, 0, 0, 0)))
+    c, w = found
+    # The first hit depends on the bound, so c is checked against the laws
+    # the search promises, not pinned coordinates; the lines below check
+    # the bundle it gives.
+    lawful = (
+        c == tuple(a + b for a, b in zip(u, w))
+        and sum(map(mul, base.Q.apply(u), w)) == 0
+        and vector_content(c) == 3
+        and max(map(abs, w)) <= bound
+        and w != u
+    )
+    checks.append(("euler class c", c, c if lawful else _PROP17_C_LAWS))
     total = circle_bundle(CircleBundleSpec(base, c))
     h4 = cohomology(total, 4)
     decision = decide_irreducible_so3(total)

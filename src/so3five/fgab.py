@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import gcd
+from operator import mul
 
 
 __all__ = [
@@ -93,7 +94,7 @@ class IntegerMatrix:
         vals = tuple(int(v) for v in values)
         n = len(vals)
         return IntegerMatrix(
-            n, n, tuple(tuple(vals[i] if i == j else 0 for j in range(n)) for i in range(n))
+            n, n, tuple((0,) * i + (v,) + (0,) * (n - 1 - i) for i, v in enumerate(vals))
         )
 
     def multiply(self, other: "IntegerMatrix") -> "IntegerMatrix":
@@ -113,16 +114,11 @@ class IntegerMatrix:
         vec = tuple(int(x) for x in vector)
         if len(vec) != self.cols:
             raise ValueError("vector length does not match the column count")
-        return tuple(sum(row[k] * vec[k] for k in range(self.cols)) for row in self.entries)
+        return tuple(sum(map(mul, row, vec)) for row in self.entries)
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        """Whether the matrix equals its transpose."""
+        return self.rows == self.cols and self.entries == tuple(zip(*self.entries))
 
     def determinant(self) -> int:
         """Exact determinant by the fraction-free Bareiss elimination."""

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from so3five import cli
 from so3five.cli import main, parse_recipe
 from so3five.constructors import CircleBundleSpec, catalog, circle_bundle, hypersurface
 from so3five.topology import profile_to_dict
@@ -433,6 +434,33 @@ class TestReproduce:
         code, out, _ = run(capsys, "reproduce", "prop1.7")
         assert code == 1
         assert "[FAIL] euler-class search succeeded" in out
+
+    @pytest.mark.parametrize(
+        "bound, c", [("4", "(0, -3, -3, 0, 3, 3, 3)"), ("5", "(0, -6, -3, 3, 3, 3, 3)")]
+    )
+    def test_prop17_holds_at_larger_bounds(self, capsys, monkeypatch, bound, c):
+        # a larger box finds another first hit, which obeys the same laws
+        monkeypatch.setenv("SO3FIVE_SEARCH_BOUND", bound)
+        code, out, _ = run(capsys, "reproduce", "prop1.7")
+        assert code == 0
+        assert f"[ok] euler class c: {c}" in out
+        assert "[FAIL]" not in out
+
+    @pytest.mark.parametrize(
+        "bound, found",
+        [
+            ("3", ((0, -3, -3, 0, 3, 3, 3), (0, -2, -2, 1, 1, 1, 1))),  # c != u + w
+            ("3", ((3, 0, 0, 0, 0, 0, 0), (0, 1, 1, 1, 1, 1, 1))),  # Q(u, w) = 6
+            ("3", ((4, -1, -1, -1, -1, -1, -4), (1, 0, 0, 0, 0, 0, -3))),  # content 1
+            ("1", ((3, -3, -3, 0, 0, 0, 0), (0, -2, -2, 1, 1, 1, 1))),  # w outside the box
+        ],
+    )
+    def test_prop17_rejects_a_class_breaking_the_laws(self, capsys, monkeypatch, bound, found):
+        monkeypatch.setenv("SO3FIVE_SEARCH_BOUND", bound)
+        monkeypatch.setattr(cli, "find_euler_class", lambda *args: found)
+        code, out, _ = run(capsys, "reproduce", "prop1.7")
+        assert code == 1
+        assert "[FAIL] euler class c: expected c = u + w with Q(u, w) = 0" in out
 
     def test_invalid_search_bound_exits_one(self, capsys, monkeypatch):
         monkeypatch.setenv("SO3FIVE_SEARCH_BOUND", "many")

@@ -1,5 +1,6 @@
 """Geometric constructors: hypersurfaces, catalog, sums, products, circle bundles."""
 
+from fractions import Fraction
 from itertools import product as cartesian
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from so3five.constructors import (
+    _E8,
     CircleBundleSpec,
     FourManifoldProfile,
+    _determinant_and_signature,
     catalog,
     catalog_names,
     circle_bundle,
@@ -86,6 +89,14 @@ class TestHypersurface:
         quadric = hypersurface(2)
         assert quadric.Q.entries == ((0, 1), (1, 0))
 
+    def test_largest_supported_degree(self):
+        h = hypersurface(12)
+        assert (h.b2, h.signature, h.spin) == (1222, -560, True)
+        image = h.Q.apply(h.w2_vector)
+        assert all((image[i] - h.Q.entries[i][i]) % 2 == 0 for i in range(h.b2))
+        with pytest.raises(ValueError, match="supported range is 1..12"):
+            hypersurface(13)
+
     def test_degree_must_be_positive(self):
         with pytest.raises(ValueError):
             hypersurface(0)
@@ -145,6 +156,54 @@ class TestHypersurface:
             changes = sum(1 for a, b in zip(seq, seq[1:]) if a * b < 0)
             assert _determinant_and_signature(q) == (minors[-1], n - 2 * changes)
             done += 1
+
+
+def _symmetric_block(size):
+    """A random symmetric integer block, often singular or with zero rows."""
+    count = size * (size + 1) // 2
+    upper = st.lists(st.integers(-3, 3), min_size=count, max_size=count)
+
+    def fill(values):
+        it = iter(values)
+        rows = [[0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i, size):
+                rows[i][j] = rows[j][i] = next(it)
+        return rows
+
+    return upper.map(fill)
+
+
+_BLOCKS = st.one_of(
+    st.just([[0]]),
+    st.just([[0, 1], [1, 0]]),
+    st.just([[-x for x in row] for row in _E8]),
+    st.integers(1, 4).flatmap(_symmetric_block),
+)
+
+
+class TestBlockwiseFormCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_BLOCKS, min_size=0, max_size=6), st.randoms(use_true_random=False))
+    def test_matches_whole_matrix_elimination(self, blocks, rng):
+        # the blocks are scattered by a random permutation, so a component
+        # is in general not a run of consecutive indices
+        n = sum(len(b) for b in blocks)
+        dense = [[0] * n for _ in range(n)]
+        offset = 0
+        for block in blocks:
+            for i, row in enumerate(block):
+                dense[offset + i][offset : offset + len(row)] = row
+            offset += len(block)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        q = IntegerMatrix.from_rows([[dense[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+        assert _determinant_and_signature(q) == _whole_matrix_determinant_and_signature(q)
+
+    def test_asymmetric_form_rejected(self):
+        q = IntegerMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 2, 0]])
+        with pytest.raises(ValueError, match="must be symmetric"):
+            _determinant_and_signature(q)
 
 
 class TestCatalog:
@@ -370,6 +429,11 @@ class TestCircleBundle:
         with pytest.raises(ValueError):
             CircleBundleSpec(hypersurface(2), (1,))
 
+    def test_non_integer_euler_class_rejected(self):
+        # a float is refused, not truncated to (3, -3, -3, 0, 0, 0, 0)
+        with pytest.raises(TypeError):
+            CircleBundleSpec(hypersurface(3), (3.7, -3, -3, 0, 0, 0, 0))
+
 
 class TestFindEulerClass:
     def test_reproduces_order_three_construction(self):
@@ -396,6 +460,10 @@ class TestFindEulerClass:
         c, w = found
         assert w == (0,)
         assert c == (1,)
+
+    def test_non_integer_u_rejected(self):
+        with pytest.raises(TypeError):
+            find_euler_class(hypersurface(3), (3.7, -1, -1, -1, -1, -1, -1), 3)
 
     def test_unreachable_target_returns_none(self):
         base = hypersurface(1)
@@ -459,3 +527,36 @@ def _whole_box_euler_class(base, u, target, bound):
         if vector_content(base.Q.apply(c)) == target:
             return c, w
     return None
+
+
+def _whole_matrix_determinant_and_signature(q):
+    """The whole form congruence-diagonalized over Fractions at once."""
+    n = q.rows
+    assert all(q.entries[i][j] == q.entries[j][i] for i in range(n) for j in range(n))
+    a = [[Fraction(x) for x in row] for row in q.entries]
+    determinant = Fraction(1)
+    signature = 0
+    for t in range(n):
+        if a[t][t] == 0:
+            if all(a[t][j] == 0 for j in range(t, n)):
+                determinant = Fraction(0)
+                continue
+            k = next((i for i in range(t + 1, n) if a[i][i] != 0), None)
+            if k is not None:
+                a[t], a[k] = a[k], a[t]
+                for row in a:
+                    row[t], row[k] = row[k], row[t]
+            else:
+                j = next(j for j in range(t + 1, n) if a[t][j] != 0)
+                for col in range(n):
+                    a[t][col] += a[j][col]
+                for row in a:
+                    row[t] += row[j]
+        pivot = a[t][t]
+        determinant *= pivot
+        signature += 1 if pivot > 0 else -1
+        for i in range(t + 1, n):
+            ratio = a[i][t] / pivot
+            for j in range(t, n):
+                a[i][j] -= ratio * a[t][j]
+    return int(determinant), signature

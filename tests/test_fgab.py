@@ -85,6 +85,10 @@ class TestIntegerMatrix:
         a = IntegerMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
         assert a.apply((1, -1)) == (-1, -1, -1)
 
+    def test_diagonal(self):
+        assert IntegerMatrix.diagonal((2, -1, 0)).entries == ((2, 0, 0), (0, -1, 0), (0, 0, 0))
+        assert IntegerMatrix.diagonal(()) == IntegerMatrix.zero(0, 0)
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             IntegerMatrix.from_rows([[1, 2], [3]])
@@ -100,6 +104,9 @@ class TestIntegerMatrix:
     def test_is_symmetric(self):
         assert IntegerMatrix.from_rows([[0, 1], [1, 0]]).is_symmetric()
         assert not IntegerMatrix.from_rows([[0, 1], [2, 0]]).is_symmetric()
+        assert IntegerMatrix.zero(0, 0).is_symmetric()
+        assert not IntegerMatrix.zero(2, 3).is_symmetric()
+        assert not IntegerMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 2, 0]]).is_symmetric()
 
     def test_vector_content(self):
         assert vector_content((4, 6, 0)) == 2
