@@ -171,7 +171,7 @@ class FourManifoldProfile:
             raise ValueError("p1 evaluation must equal 3 * signature")
         if self.euler_char != self.b2 + 2:
             raise ValueError("Euler characteristic must be b2 + 2")
-        object.__setattr__(self, "w2_vector", tuple(int(b) for b in self.w2_vector))
+        object.__setattr__(self, "w2_vector", tuple(index(b) for b in self.w2_vector))
         if len(self.w2_vector) != self.b2 or any(
             b not in (0, 1) for b in self.w2_vector
         ):

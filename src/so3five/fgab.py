@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 
 __all__ = [
@@ -74,7 +74,7 @@ class IntegerMatrix:
 
     @staticmethod
     def from_rows(rows: object) -> "IntegerMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(index(x) for x in row) for row in rows)
         nrows = len(data)
         ncols = len(data[0]) if data else 0
         return IntegerMatrix(nrows, ncols, data)
@@ -91,7 +91,7 @@ class IntegerMatrix:
 
     @staticmethod
     def diagonal(values: object) -> "IntegerMatrix":
-        vals = tuple(int(v) for v in values)
+        vals = tuple(index(v) for v in values)
         n = len(vals)
         return IntegerMatrix(
             n, n, tuple((0,) * i + (v,) + (0,) * (n - 1 - i) for i, v in enumerate(vals))
@@ -111,7 +111,7 @@ class IntegerMatrix:
 
     def apply(self, vector: object) -> tuple[int, ...]:
         """Matrix times column vector, returned as a tuple."""
-        vec = tuple(int(x) for x in vector)
+        vec = tuple(index(x) for x in vector)
         if len(vec) != self.cols:
             raise ValueError("vector length does not match the column count")
         return tuple(sum(map(mul, row, vec)) for row in self.entries)
@@ -151,7 +151,7 @@ def vector_content(vector: object) -> int:
     """gcd of the entries (0 for the zero vector)."""
     g = 0
     for x in vector:
-        g = gcd(g, int(x))
+        g = gcd(g, index(x))
     return g
 
 
@@ -178,52 +178,17 @@ class SnfDecomposition:
         return tuple(self.D.entries[i][i] for i in range(n))
 
 
-def smith_normal_form(A: IntegerMatrix) -> SnfDecomposition:
-    """Smith normal form by elementary row/column reduction.
+def _diagonalize(a: list[list[int]], m: int, n: int) -> None:
+    """Reduce the top-left m x n block of the rows ``a`` to Smith form.
 
-    The least-absolute-value pivot is re-selected on every clearing
-    pass and quotients are balanced (nearest integer), which keeps the
-    intermediate entries of D, U and V small.  Row operations
-    accumulate into U, column operations into V, so U*A*V = D holds
-    exactly on return.
+    Pivots come from the block only.  A row operation acts on the whole
+    row and a column operation on the whole column, so a border around
+    the block records them: rows [A | I_m] end as [U*A | U], and the
+    columns of A over I_n (rows of n entries, which row operations
+    never reach) end as A*V over V.  No pivot reads the border, so D,
+    U and V come out the same whichever border a caller attaches, and
+    U*A*V = D.
     """
-    m, n = A.rows, A.cols
-    d = [list(row) for row in A.entries]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_sub(dst: int, src: int, q: int) -> None:
-        if q == 0:
-            return
-        drow, srow = d[dst], d[src]
-        for jj in range(n):
-            drow[jj] -= q * srow[jj]
-        drow2, srow2 = u[dst], u[src]
-        for jj in range(m):
-            drow2[jj] -= q * srow2[jj]
-
-    def col_sub(dst: int, src: int, q: int) -> None:
-        if q == 0:
-            return
-        for row in d:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
-
-    def negate_row(i: int) -> None:
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
     for t in range(min(m, n)):
         while True:
             # Pivot with least nonzero absolute value, re-selected on
@@ -231,50 +196,64 @@ def smith_normal_form(A: IntegerMatrix) -> SnfDecomposition:
             best = None
             pi = pj = -1
             for i in range(t, m):
+                row = a[i]
                 for j in range(t, n):
-                    e = d[i][j]
+                    e = row[j]
                     if e != 0 and (best is None or abs(e) < best):
                         best = abs(e)
                         pi, pj = i, j
             if best is None:
                 break
-            if pi != t:
-                swap_rows(pi, t)
+            a[pi], a[t] = a[t], a[pi]
             if pj != t:
-                swap_cols(pj, t)
-            if d[t][t] < 0:
-                negate_row(t)
-            pivot = d[t][t]
+                for row in a:
+                    row[pj], row[t] = row[t], row[pj]
+            if a[t][t] < 0:
+                a[t] = [-x for x in a[t]]
+            top = a[t]
+            pivot = top[t]
             dirty = False
             for i in range(t + 1, m):
-                e = d[i][t]
-                if e:
-                    row_sub(i, t, (2 * e + pivot) // (2 * pivot))
-                    dirty = dirty or d[i][t] != 0
+                e = a[i][t]
+                q = (2 * e + pivot) // (2 * pivot)
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], top)]
+                dirty = dirty or a[i][t] != 0
             for j in range(t + 1, n):
-                e = d[t][j]
-                if e:
-                    col_sub(j, t, (2 * e + pivot) // (2 * pivot))
-                    dirty = dirty or d[t][j] != 0
+                e = top[j]
+                q = (2 * e + pivot) // (2 * pivot)
+                if q:
+                    for row in a:
+                        row[j] -= q * row[t]
+                dirty = dirty or top[j] != 0
             if dirty:
                 continue
             # Divisibility sweep: the pivot must divide every remaining
             # entry so the diagonal forms a chain.
-            offender = -1
             for i in range(t + 1, m):
-                if any(x % pivot for x in d[i][t + 1 :]):
-                    offender = i
+                if any(x % pivot for x in a[i][t + 1 : n]):
+                    a[t] = [x + y for x, y in zip(top, a[i])]
                     break
-            if offender < 0:
+            else:
                 break
-            row_sub(t, offender, -1)
-        if d[t][t] == 0:
+        if a[t][t] == 0:
             break
 
+
+def smith_normal_form(A: IntegerMatrix) -> SnfDecomposition:
+    """Smith normal form with both unimodular witnesses.
+
+    Eliminates A bordered as [[A, I_m], [I_n]], which ends as
+    [[D, U], [V]] with U*A*V = D; see :func:`_diagonalize`.
+    """
+    m, n = A.rows, A.cols
+    a = [list(row + e) for row, e in zip(A.entries, IntegerMatrix.identity(m).entries)]
+    a += map(list, IntegerMatrix.identity(n).entries)
+    _diagonalize(a, m, n)
     return SnfDecomposition(
-        IntegerMatrix.from_rows(u) if m else IntegerMatrix.zero(0, 0),
-        IntegerMatrix.from_rows(d) if m else IntegerMatrix.zero(0, n),
-        IntegerMatrix.from_rows(v) if n else IntegerMatrix.zero(0, 0),
+        IntegerMatrix(m, m, tuple(tuple(row[n:]) for row in a[:m])),
+        IntegerMatrix(m, n, tuple(tuple(row[:n]) for row in a[:m])),
+        IntegerMatrix(n, n, tuple(map(tuple, a[m:]))),
     )
 
 
@@ -325,9 +304,9 @@ class FgAbGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.free_rank < 0:
+        if index(self.free_rank) < 0:
             raise ValueError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "torsion", tuple(index(d) for d in self.torsion))
         for d in self.torsion:
             if d < 2:
                 raise ValueError("torsion coefficients must be >= 2")
@@ -353,8 +332,8 @@ class FgAbGroup:
         >>> FgAbGroup.from_cyclic_orders(0, [6, 4])
         FgAbGroup(free_rank=0, torsion=(2, 12))
         """
-        ds = [abs(int(d)) for d in orders]
-        free = int(free_rank) + ds.count(0)
+        ds = [abs(index(d)) for d in orders]
+        free = index(free_rank) + ds.count(0)
         ds = [d for d in ds if d >= 2]
         for i in range(len(ds)):
             for j in range(i + 1, len(ds)):
@@ -419,7 +398,7 @@ class FgAbGroup:
         return GroupElement(self, (0,) * self.free_rank, (0,) * len(self.torsion))
 
     def element(self, free: object = (), torsion: object = ()) -> "GroupElement":
-        return GroupElement(self, tuple(int(c) for c in free), tuple(int(c) for c in torsion))
+        return GroupElement(self, tuple(free), tuple(torsion))
 
     def elements(self):
         """Iterate over all elements (finite groups only)."""
@@ -456,11 +435,11 @@ class GroupElement:
             raise ValueError("free coordinate count does not match the group")
         if len(self.torsion) != len(self.group.torsion):
             raise ValueError("torsion coordinate count does not match the group")
-        object.__setattr__(self, "free", tuple(int(c) for c in self.free))
+        object.__setattr__(self, "free", tuple(index(c) for c in self.free))
         object.__setattr__(
             self,
             "torsion",
-            tuple(int(c) % d for c, d in zip(self.torsion, self.group.torsion)),
+            tuple(index(c) % d for c, d in zip(self.torsion, self.group.torsion)),
         )
 
     def _check_same_group(self, other: "GroupElement") -> None:
@@ -482,7 +461,7 @@ class GroupElement:
         return self + (-other)
 
     def scale(self, k: int) -> "GroupElement":
-        k = int(k)
+        k = index(k)
         return GroupElement(
             self.group,
             tuple(k * c for c in self.free),
@@ -508,20 +487,30 @@ class GroupElement:
 # ---------------------------------------------------------------------------
 
 
+def _diagonal_cokernel(a: list[list[int]], m: int, n: int):
+    """Z^m / im(D) for D in Smith form on the top-left m x n of ``a``,
+    with the coordinates that carry its free and its torsion part."""
+    diag = [a[i][i] if i < n else 0 for i in range(m)]
+    free_positions = [i for i, d in enumerate(diag) if d == 0]
+    torsion_positions = [i for i, d in enumerate(diag) if d >= 2]
+    group = FgAbGroup(len(free_positions), tuple(diag[i] for i in torsion_positions))
+    return group, free_positions, torsion_positions
+
+
 def cokernel_with_projection(A: IntegerMatrix):
     """Cokernel of A : Z^cols -> Z^rows together with the quotient map.
 
     Returns ``(G, project)`` where G is Z^rows / column-span(A) in
     canonical form and ``project`` sends a coordinate vector in Z^rows
-    to its class in G.  The identification comes from the Smith normal
-    form: if U*A*V = D then x + im(A) corresponds to U*x + im(D).
+    to its class in G.  If U*A*V = D then x + im(A) corresponds to
+    U*x + im(D), and only U is needed: A is eliminated bordered as
+    [A | I_rows], which ends as [D | U] (see :func:`_diagonalize`).
     """
-    snf = smith_normal_form(A)
-    diag = list(snf.diagonal) + [0] * (A.rows - min(A.rows, A.cols))
-    free_positions = [i for i, d in enumerate(diag) if d == 0]
-    torsion_positions = [i for i, d in enumerate(diag) if d >= 2]
-    group = FgAbGroup(len(free_positions), tuple(diag[i] for i in torsion_positions))
-    U = snf.U
+    m, n = A.rows, A.cols
+    a = [list(row + e) for row, e in zip(A.entries, IntegerMatrix.identity(m).entries)]
+    _diagonalize(a, m, n)
+    group, free_positions, torsion_positions = _diagonal_cokernel(a, m, n)
+    U = IntegerMatrix(m, m, tuple(tuple(row[n:]) for row in a))
 
     def project(coords: object) -> GroupElement:
         y = U.apply(coords)
@@ -535,9 +524,14 @@ def cokernel_with_projection(A: IntegerMatrix):
 
 
 def cokernel(A: IntegerMatrix) -> FgAbGroup:
-    """Z^rows modulo the column span of A, in canonical form."""
-    group, _ = cokernel_with_projection(A)
-    return group
+    """Z^rows modulo the column span of A, in canonical form.
+
+    Only the invariant factors are read, so A is eliminated with no
+    border and no witness is built (see :func:`_diagonalize`).
+    """
+    a = [list(row) for row in A.entries]
+    _diagonalize(a, A.rows, A.cols)
+    return _diagonal_cokernel(a, A.rows, A.cols)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,20 @@ class TestHypersurface:
             FourManifoldProfile(
                 b2=1, Q=one, w2_vector=(0,), euler_char=3, p1_eval=3, signature=1
             )
+        # floats are refused, not truncated to the CP^2 record
+        with pytest.raises(TypeError):
+            FourManifoldProfile(
+                b2=1,
+                Q=IntegerMatrix.diagonal([1.9]),
+                w2_vector=(1.7,),
+                euler_char=3,
+                p1_eval=3,
+                signature=1,
+            )
+        with pytest.raises(TypeError):
+            FourManifoldProfile(
+                b2=1, Q=one, w2_vector=(1.7,), euler_char=3, p1_eval=3, signature=1
+            )
 
     def test_hyperplane_classes(self):
         assert hyperplane_class(1) == (1,)

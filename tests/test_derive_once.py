@@ -148,3 +148,22 @@ def test_fragment_arithmetic_derives_degree_four_once(monkeypatch):
     calls.clear()
     assert rank5_relation_holds(total, tangent)
     assert len(calls) <= 2
+
+
+def test_cokernels_build_no_smith_witnesses(monkeypatch):
+    import so3five.fgab as fgab
+
+    calls = []
+    original = fgab.smith_normal_form
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(fgab, "smith_normal_form", counting)
+    for rows in ([[2, 4], [6, 8]], [[3], [-3], [-3], [0]], [[0, 5, 10]]):
+        a = fgab.IntegerMatrix.from_rows(rows)
+        group, project = fgab.cokernel_with_projection(a)
+        project((1,) * a.rows)
+        assert fgab.cokernel(a) == group
+    assert calls == []

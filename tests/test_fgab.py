@@ -131,9 +131,9 @@ class TestSmithNormalForm:
         a = IntegerMatrix.from_rows([[3], [-3], [-3], [0], [0], [0], [0]])
         assert smith_normal_form(a).diagonal == (3,)
 
-    @given(small_matrices)
+    @given(small_matrices, st.data())
     @settings(max_examples=150)
-    def test_decomposition_contract(self, rows):
+    def test_decomposition_contract(self, rows, data):
         a = IntegerMatrix.from_rows(rows)
         snf = smith_normal_form(a)
         # U A V = D exactly
@@ -153,6 +153,17 @@ class TestSmithNormalForm:
                 assert cur == 0
             else:
                 assert cur % prev == 0
+        # every border gives the same answer: the cokernels read the
+        # diagonal, and the projection is U followed by reduction
+        full = diag + (0,) * (a.rows - len(diag))
+        free = [i for i, d in enumerate(full) if d == 0]
+        torsion = [i for i, d in enumerate(full) if d >= 2]
+        group = FgAbGroup(len(free), tuple(full[i] for i in torsion))
+        projected, project = cokernel_with_projection(a)
+        assert cokernel(a) == projected == group
+        x = data.draw(st.lists(st.integers(-30, 30), min_size=a.rows, max_size=a.rows))
+        y = snf.U.apply(x)
+        assert project(x) == group.element([y[i] for i in free], [y[i] for i in torsion])
 
     @given(small_matrices)
     @settings(max_examples=40)
@@ -258,6 +269,31 @@ class TestFgAbGroup:
         assert mod_p_dimension(g, 5) == 2
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntegerMatrix.from_rows([[1.9]]),
+        lambda: IntegerMatrix.diagonal([1.9]),
+        lambda: IntegerMatrix.identity(2).apply((1, 0.5)),
+        lambda: vector_content((4, 2.0)),
+        lambda: FgAbGroup(0, (2.5,)),
+        lambda: FgAbGroup(1.0),
+        lambda: FgAbGroup.from_cyclic_orders(0, [6, 4.0]),
+        lambda: FgAbGroup(0, (2,)).element((), (1.5,)),
+        lambda: GroupElement(FgAbGroup(1), (0.5,), ()),
+        lambda: FgAbGroup(1).element((1,)).scale(1.5),
+    ],
+    ids=[
+        "from_rows", "diagonal", "apply", "vector_content", "group-torsion",
+        "group-free-rank", "from_cyclic_orders", "element", "group-element", "scale",
+    ],
+)
+def test_non_integer_input_refused(build):
+    # a float is refused, never truncated (2.5 would read as Z/2)
+    with pytest.raises(TypeError):
+        build()
+
+
 class TestFactorize:
     def test_exact_below_the_trial_division_limit(self):
         assert _factorize(2**40 * 3**5 * 999983) == {2: 40, 3: 5, 999983: 1}
@@ -310,6 +346,10 @@ class TestCokernel:
     def test_identity_and_zero(self):
         assert cokernel(IntegerMatrix.identity(3)) == FgAbGroup.trivial()
         assert cokernel(IntegerMatrix.zero(3, 2)) == FgAbGroup(3)
+        assert cokernel(IntegerMatrix.zero(0, 3)) == FgAbGroup.trivial()
+        assert cokernel(IntegerMatrix.zero(2, 0)) == FgAbGroup(2)
+        group, project = cokernel_with_projection(IntegerMatrix.zero(2, 0))
+        assert project((1, -2)) == group.element((1, -2))
 
     def test_column_with_content_three(self):
         a = IntegerMatrix.from_rows([[3], [-3], [-3], [0], [0], [0], [0]])
