@@ -371,3 +371,125 @@ class TestSerialization:
         for line in payload["trace"]:
             assert set(line) == {"condition", "value", "ok"}
             assert isinstance(line["ok"], bool)
+
+
+def _line(condition: str, value: str, ok: bool) -> dict:
+    return {"condition": condition, "value": value, "ok": ok}
+
+
+_SPIN = _line("w2(M) = 0 (spin)", "true", True)
+_NON_SPIN = _line("w2(M) != 0 (non-spin)", "true", True)
+_W4_ZERO = _line("w4(M) = 0", "true", True)
+_P1_ZERO_DIV5 = _line("p1(M) divisible by 5", "p1(M) = 0", True)
+_NO_ORDER4_Z3 = _line("H^4(M;Z) contains no element of order 4", "H^4(M;Z) = Z/3", True)
+_ORDER4_Z4 = _line("H^4(M;Z) contains an element of order 4", "H^4(M;Z) = Z/4", True)
+_W5 = _line("necessary: w5(M) = 0", "true (closed odd-dimensional)", True)
+
+
+class TestFullIrreducibleTraces:
+    """Whole traces of every branch shape, pinned line by line."""
+
+    CASES = {
+        "spin, simply connected": (
+            lambda: catalog("s3xs2"),
+            {
+                "verdict": "Yes",
+                "theorem": "Cor 1.5(a)/Thm 1.4(a)",
+                "trace": [
+                    _SPIN,
+                    _W4_ZERO,
+                    _P1_ZERO_DIV5,
+                    _line("semicharacteristic chi-hat(M) = 0", "chi-hat(M) = 0", True),
+                    _line(
+                        "simply connected shortcut: dim H_2(M;Z_2) odd",
+                        "dim H_2(M;Z_2) = 1",
+                        True,
+                    ),
+                ],
+            },
+        ),
+        "spin, H_1 nontrivial": (
+            lambda: lens_bundle(5),
+            {
+                "verdict": "No",
+                "theorem": "Thm 1.4(a)",
+                "trace": [
+                    _SPIN,
+                    _W4_ZERO,
+                    _line("p1(M) divisible by 5", "p1(M) = (3 mod 5)", False),
+                    _line("semicharacteristic chi-hat(M) = 0", "chi-hat(M) = 1", False),
+                ],
+            },
+        ),
+        "non-spin, simply connected": (
+            lambda: catalog("wu"),
+            {
+                "verdict": "Yes",
+                "theorem": "Cor 1.5(b)/Thm 1.4(b)",
+                "trace": [
+                    _NON_SPIN,
+                    _line(
+                        "H^4(M;Z) contains no element of order 4", "H^4(M;Z) = 0", True
+                    ),
+                    _W4_ZERO,
+                    _P1_ZERO_DIV5,
+                    _line(
+                        "simply connected shortcut: H^4(M;Z) = 0 makes both "
+                        "conditions automatic",
+                        "H^4(M;Z) = 0",
+                        True,
+                    ),
+                ],
+            },
+        ),
+        "non-spin, H_1 nontrivial": (
+            lambda: circle_bundle(
+                CircleBundleSpec(hypersurface(3), (3, -3, -3, 0, 0, 0, 0))
+            ),
+            {
+                "verdict": "Yes",
+                "theorem": "Thm 1.4(b)",
+                "trace": [_NON_SPIN, _NO_ORDER4_Z3, _W4_ZERO, _P1_ZERO_DIV5],
+            },
+        ),
+        "order-4 torsion, necessary condition fails": (
+            lambda: lens_bundle(4),
+            {
+                "verdict": "No",
+                "theorem": "Prop 2.4",
+                "trace": [
+                    _NON_SPIN,
+                    _ORDER4_Z4,
+                    _line(
+                        "necessary: p1(M) divisible by 5", "p1(M) = (3 mod 4)", True
+                    ),
+                    _line("necessary: w4(M) = 0", "false", False),
+                    _W5,
+                ],
+            },
+        ),
+        "order-4 torsion, undecided": (
+            unknown_branch_profile_with_fragment,
+            {
+                "verdict": "Unknown",
+                "theorem": "Remark 4.4",
+                "trace": [
+                    _NON_SPIN,
+                    _ORDER4_Z4,
+                    _line("necessary: p1(M) divisible by 5", "p1(M) = 0", True),
+                    _line("necessary: w4(M) = 0", "true", True),
+                    _W5,
+                    _line(
+                        "a decision theorem applies",
+                        "none: non-spin with order-4 torsion in H^4(M;Z) is undecided",
+                        False,
+                    ),
+                ],
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(CASES))
+    def test_trace_is_pinned(self, shape):
+        build, expected = self.CASES[shape]
+        assert decide_irreducible_so3(build()).to_dict() == expected
