@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .fgab import GroupElement, solve_divisibility
 from .topology import (
     ManifoldProfile,
+    check_class_vector,
     cohomology,
     mod2_class_moduli,
     semicharacteristic,
@@ -37,18 +38,17 @@ __all__ = [
 ]
 
 
-def _check_class_vector(base: ManifoldProfile, vec, what: str) -> None:
-    if base.mod2_fragment is None:
-        raise ValueError(f"{what} requires the base profile to carry a mod-2 fragment")
-    if any(b not in (0, 1) for b in vec):
-        raise ValueError(f"{what} must be a 0/1 vector")
+def _check_class(flag: bool, vec, moduli: tuple[int, ...], name: str, group: str) -> None:
+    """A carried class vector is reduced and agrees with its vanishing flag."""
+    check_class_vector(vec, moduli, f"{name} class", group)
+    if flag != (not any(vec)):
+        raise ValueError(f"{name}_zero flag contradicts the {name} class vector")
 
 
 def _check_p1_and_w2(bundle: Bundle3Data | Bundle5Data) -> None:
     """Checks shared by the rank-3 and rank-5 records: p1 lies in
     H^4(M;Z) of the base, and the w2 class is carried exactly when the
-    base has a mod-2 fragment, as a 0/1 vector of the fragment's length
-    that agrees with the w2_zero flag."""
+    base has a mod-2 fragment, as a class in its H^2(M;Z2)."""
     base = bundle.base
     if bundle.p1.group != cohomology(base, 4):
         raise ValueError("bundle p1 must live in H^4(M;Z) of the base")
@@ -57,11 +57,8 @@ def _check_p1_and_w2(bundle: Bundle3Data | Bundle5Data) -> None:
             "w2 class must be present exactly when the base has a mod-2 fragment"
         )
     if bundle.w2_class is not None:
-        _check_class_vector(base, bundle.w2_class, "w2 class")
-        if len(bundle.w2_class) != base.mod2_fragment.h2_dim:
-            raise ValueError("w2 class has the wrong length")
-        if bundle.w2_zero != (not any(bundle.w2_class)):
-            raise ValueError("w2_zero flag contradicts the w2 class vector")
+        moduli = (2,) * base.mod2_fragment.h2_dim
+        _check_class(bundle.w2_zero, bundle.w2_class, moduli, "w2", "H^2(M;Z2)")
 
 
 @dataclass(frozen=True)
@@ -111,11 +108,8 @@ class Bundle5Data:
     def __post_init__(self) -> None:
         _check_p1_and_w2(self)
         if self.w4_class is not None:
-            _check_class_vector(self.base, self.w4_class, "w4 class")
-            if len(self.w4_class) != len(mod2_class_moduli(self.base)):
-                raise ValueError("w4 class has the wrong number of coordinates")
-            if self.w4_zero != (not any(self.w4_class)):
-                raise ValueError("w4_zero flag contradicts the w4 class vector")
+            moduli = mod2_class_moduli(self.base)
+            _check_class(self.w4_zero, self.w4_class, moduli, "w4", "H^4(M;Z2)")
 
     def to_dict(self) -> dict:
         return {

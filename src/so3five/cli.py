@@ -125,8 +125,10 @@ def _load_profile(args: argparse.Namespace) -> ManifoldProfile:
         return catalog(args.catalog)
     if args.file is None:
         raise ValueError("provide a profile file or --catalog NAME")
-    data = json.loads(Path(args.file).read_text())
-    return parse_recipe(data)
+    try:
+        return parse_recipe(json.loads(Path(args.file).read_text()))
+    except RecursionError:
+        raise ValueError(f"{args.file}: input is nested too deeply to read") from None
 
 
 def _parse_int_csv(text: str) -> tuple[int, ...]:

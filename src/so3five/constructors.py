@@ -29,6 +29,7 @@ from .fgab import (
     IntegerMatrix,
     cokernel,
     direct_sum_elements,
+    mod_p_dimension,
     vector_content,
 )
 from .topology import ManifoldProfile, Mod2Fragment
@@ -277,66 +278,12 @@ _O = FgAbGroup.trivial()
 _Z2 = FgAbGroup(0, (2,))
 
 
-def _trivial_degree4_fragment(h2_dim: int, w2_class: tuple[int, ...]) -> Mod2Fragment:
-    # all catalog spaces have H^4(M;Z) = 0, so degree-4 values are empty
-    empty: tuple[int, ...] = ()
-    return Mod2Fragment(
-        h2_dim=h2_dim,
-        cup22=tuple(tuple(empty for _ in range(h2_dim)) for _ in range(h2_dim)),
-        psquare=tuple(empty for _ in range(h2_dim)),
-        w2_class=w2_class,
-    )
-
-
-def _catalog_s5() -> ManifoldProfile:
-    return ManifoldProfile(
-        name="S^5",
-        homology=(_Z, _O, _O, _O, _O, _Z),
-        spin=True,
-        w4_is_zero=True,
-        p1=_O.zero(),
-        mod2_fragment=_trivial_degree4_fragment(0, ()),
-    )
-
-
-def _catalog_wu() -> ManifoldProfile:
-    return ManifoldProfile(
-        name="SU(3)/SO(3)",
-        homology=(_Z, _O, _Z2, _O, _O, _Z),
-        spin=False,
-        w4_is_zero=True,
-        p1=_O.zero(),
-        mod2_fragment=_trivial_degree4_fragment(1, (1,)),
-    )
-
-
-def _catalog_s3xs2() -> ManifoldProfile:
-    return ManifoldProfile(
-        name="S^3 x S^2",
-        homology=(_Z, _O, _Z, _Z, _O, _Z),
-        spin=True,
-        w4_is_zero=True,
-        p1=_O.zero(),
-        mod2_fragment=_trivial_degree4_fragment(1, (0,)),
-    )
-
-
-def _catalog_s3xs2_twisted() -> ManifoldProfile:
-    return ManifoldProfile(
-        name="S^3 x~ S^2",
-        homology=(_Z, _O, _Z, _Z, _O, _Z),
-        spin=False,
-        w4_is_zero=True,
-        p1=_O.zero(),
-        mod2_fragment=_trivial_degree4_fragment(1, (1,)),
-    )
-
-
+# name -> (label, H_2, w2 class in the basis of H^2(M;Z2)); all simply connected
 _CATALOG = {
-    "s5": _catalog_s5,
-    "wu": _catalog_wu,
-    "s3xs2": _catalog_s3xs2,
-    "s3~xs2": _catalog_s3xs2_twisted,
+    "s5": ("S^5", _O, ()),
+    "wu": ("SU(3)/SO(3)", _Z2, (1,)),
+    "s3xs2": ("S^3 x S^2", _Z, (0,)),
+    "s3~xs2": ("S^3 x~ S^2", _Z, (1,)),
 }
 
 
@@ -347,11 +294,23 @@ def catalog_names() -> tuple[str, ...]:
 def catalog(name: str) -> ManifoldProfile:
     """One of the hardcoded standard profiles: s5, wu, s3xs2, s3~xs2."""
     try:
-        builder = _CATALOG[name]
+        label, h2, w2_class = _CATALOG[name]
     except KeyError:
         known = ", ".join(catalog_names())
         raise ValueError(f"unknown catalog name {name!r} (known: {known})") from None
-    return builder()
+    # Poincare duality with H_1 = 0 gives H_3 = Z^{b2} and H_4 = 0, so
+    # H^4(M;Z) = 0: p1 = 0, w4 = 0 and every degree-4 table entry is empty.
+    n = mod_p_dimension(h2, 2)
+    return ManifoldProfile(
+        name=label,
+        homology=(_Z, _O, h2, FgAbGroup(h2.free_rank, ()), _O, _Z),
+        spin=not any(w2_class),
+        w4_is_zero=True,
+        p1=_O.zero(),
+        mod2_fragment=Mod2Fragment(
+            h2_dim=n, cup22=(((),) * n,) * n, psquare=((),) * n, w2_class=w2_class
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

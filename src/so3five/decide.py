@@ -89,21 +89,20 @@ def decide_irreducible_so3(profile: ManifoldProfile) -> Decision:
     h4 = cohomology(profile, 4)
     simply_connected = profile.homology[1].is_trivial()
     p1_div5 = solve_divisibility(profile.p1, 5) is not None
-    chi = semicharacteristic(profile)
-    trace: list[TraceLine] = []
+    w4_line = TraceLine("w4(M) = 0", _bool(profile.w4_is_zero), profile.w4_is_zero)
+    p1_line = TraceLine("p1(M) divisible by 5", f"p1(M) = {profile.p1}", p1_div5)
+    holds = profile.w4_is_zero and p1_div5
 
     if profile.spin:
-        theorem = "Cor 1.5(a)/Thm 1.4(a)" if simply_connected else "Thm 1.4(a)"
-        trace.append(TraceLine("w2(M) = 0 (spin)", "true", True))
-        trace.append(
-            TraceLine("w4(M) = 0", _bool(profile.w4_is_zero), profile.w4_is_zero)
-        )
-        trace.append(
-            TraceLine("p1(M) divisible by 5", f"p1(M) = {profile.p1}", p1_div5)
-        )
-        trace.append(
-            TraceLine("semicharacteristic chi-hat(M) = 0", f"chi-hat(M) = {chi}", chi == 0)
-        )
+        case = "a"
+        chi = semicharacteristic(profile)
+        holds = holds and chi == 0
+        trace = [
+            TraceLine("w2(M) = 0 (spin)", "true", True),
+            w4_line,
+            p1_line,
+            TraceLine("semicharacteristic chi-hat(M) = 0", f"chi-hat(M) = {chi}", chi == 0),
+        ]
         if simply_connected:
             dim2 = homology_mod2_dimension(profile, 2)
             trace.append(
@@ -113,24 +112,14 @@ def decide_irreducible_so3(profile: ManifoldProfile) -> Decision:
                     dim2 % 2 == 1,
                 )
             )
-        yes = profile.w4_is_zero and p1_div5 and chi == 0
-        return Decision(Verdict.YES if yes else Verdict.NO, theorem, tuple(trace))
-
-    trace.append(TraceLine("w2(M) != 0 (non-spin)", "true", True))
-    has_order4 = has_element_of_order(h4, 4)
-    if not has_order4:
-        theorem = "Cor 1.5(b)/Thm 1.4(b)" if simply_connected else "Thm 1.4(b)"
-        trace.append(
-            TraceLine(
-                "H^4(M;Z) contains no element of order 4", f"H^4(M;Z) = {h4}", True
-            )
-        )
-        trace.append(
-            TraceLine("w4(M) = 0", _bool(profile.w4_is_zero), profile.w4_is_zero)
-        )
-        trace.append(
-            TraceLine("p1(M) divisible by 5", f"p1(M) = {profile.p1}", p1_div5)
-        )
+    elif not has_element_of_order(h4, 4):
+        case = "b"
+        trace = [
+            TraceLine("w2(M) != 0 (non-spin)", "true", True),
+            TraceLine("H^4(M;Z) contains no element of order 4", f"H^4(M;Z) = {h4}", True),
+            w4_line,
+            p1_line,
+        ]
         if simply_connected:
             trace.append(
                 TraceLine(
@@ -139,33 +128,34 @@ def decide_irreducible_so3(profile: ManifoldProfile) -> Decision:
                     h4.is_trivial(),
                 )
             )
-        yes = profile.w4_is_zero and p1_div5
-        return Decision(Verdict.YES if yes else Verdict.NO, theorem, tuple(trace))
+    else:
+        case = None
+        trace = [
+            TraceLine("w2(M) != 0 (non-spin)", "true", True),
+            TraceLine("H^4(M;Z) contains an element of order 4", f"H^4(M;Z) = {h4}", True),
+            *(
+                TraceLine("necessary: " + line.condition, line.value, line.satisfied)
+                for line in (p1_line, w4_line)
+            ),
+            TraceLine("necessary: w5(M) = 0", "true (closed odd-dimensional)", True),
+        ]
+        if holds:
+            trace.append(
+                TraceLine(
+                    "a decision theorem applies",
+                    "none: non-spin with order-4 torsion in H^4(M;Z) is undecided",
+                    False,
+                )
+            )
 
-    trace.append(
-        TraceLine(
-            "H^4(M;Z) contains an element of order 4", f"H^4(M;Z) = {h4}", True
-        )
-    )
-    trace.append(
-        TraceLine("necessary: p1(M) divisible by 5", f"p1(M) = {profile.p1}", p1_div5)
-    )
-    trace.append(
-        TraceLine("necessary: w4(M) = 0", _bool(profile.w4_is_zero), profile.w4_is_zero)
-    )
-    trace.append(
-        TraceLine("necessary: w5(M) = 0", "true (closed odd-dimensional)", True)
-    )
-    if not (p1_div5 and profile.w4_is_zero):
-        return Decision(Verdict.NO, "Prop 2.4", tuple(trace))
-    trace.append(
-        TraceLine(
-            "a decision theorem applies",
-            "none: non-spin with order-4 torsion in H^4(M;Z) is undecided",
-            False,
-        )
-    )
-    return Decision(Verdict.UNKNOWN, "Remark 4.4", tuple(trace))
+    if case is None:
+        verdict, theorem = (Verdict.UNKNOWN, "Remark 4.4") if holds else (Verdict.NO, "Prop 2.4")
+    else:
+        verdict = Verdict.YES if holds else Verdict.NO
+        theorem = f"Thm 1.4({case})"
+        if simply_connected:
+            theorem = f"Cor 1.5({case})/{theorem}"
+    return Decision(verdict, theorem, tuple(trace))
 
 
 def decide_two_field(profile: ManifoldProfile, criterion: str = "atiyah") -> Decision:
@@ -258,13 +248,11 @@ def rank3_bundle_exists(
     the classification (closed oriented 5-manifold, no order-4 torsion
     in H^4) are recorded in the trace with their actual truth values.
     """
-    if profile.mod2_fragment is None:
-        raise ValueError("insufficient ring data: profile has no mod-2 fragment")
+    rhs = pontryagin_square(profile, tuple(w2_class))
     h4 = cohomology(profile, 4)
     if p1_candidate.group != h4:
         raise ValueError("candidate p1 must live in H^4(M;Z)")
     lhs = tensor_reduction(p1_candidate, 4)
-    rhs = pontryagin_square(profile, tuple(w2_class))
     equal = lhs == rhs
     trace = (
         TraceLine("closed oriented connected 5-manifold", "profile valid", True),
@@ -289,14 +277,12 @@ def rank5_relation_holds(profile: ManifoldProfile, bundle: Bundle5Data) -> bool:
     does not vanish and no w4 class vector is available the relation
     cannot be evaluated and the call refuses.
     """
-    if profile.mod2_fragment is None:
-        raise ValueError("insufficient ring data: profile has no mod-2 fragment")
     if bundle.base != profile:
         raise ValueError("bundle data belongs to a different profile")
-    if bundle.w2_class is None:
-        raise ValueError("insufficient ring data: bundle carries no w2 class")
-    lhs = tensor_reduction(bundle.p1, 4)
+    # the record carries a w2 class exactly when its base has a fragment,
+    # so pontryagin_square refuses a profile without one
     square = pontryagin_square(profile, bundle.w2_class)
+    lhs = tensor_reduction(bundle.p1, 4)
     if bundle.w4_zero:
         return lhs == square
     if bundle.w4_class is None:

@@ -71,10 +71,17 @@ class IntegerMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("entry grid is not rectangular")
+        # A row of ints sums to an int.  Only a row holding something else
+        # (a float, a Fraction, a numpy scalar) pays for operator.index,
+        # which refuses a non-integer and converts an integer type to int.
+        entries = tuple(
+            row if type(sum(row)) is int else tuple(map(index, row)) for row in self.entries
+        )
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def from_rows(rows: object) -> "IntegerMatrix":
-        data = tuple(tuple(index(x) for x in row) for row in rows)
+        data = tuple(tuple(row) for row in rows)
         nrows = len(data)
         ncols = len(data[0]) if data else 0
         return IntegerMatrix(nrows, ncols, data)
@@ -91,7 +98,7 @@ class IntegerMatrix:
 
     @staticmethod
     def diagonal(values: object) -> "IntegerMatrix":
-        vals = tuple(index(v) for v in values)
+        vals = tuple(values)
         n = len(vals)
         return IntegerMatrix(
             n, n, tuple((0,) * i + (v,) + (0,) * (n - 1 - i) for i, v in enumerate(vals))

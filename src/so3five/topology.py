@@ -224,10 +224,8 @@ def include_mod2_into_mod4(profile: ManifoldProfile, vec: tuple[int, ...]) -> tu
     modulus 2 on both sides (torsion coefficient 2 mod 4) this is the
     zero map, which is the correct induced map there.
     """
-    moduli4 = mod4_class_moduli(profile)
-    if len(vec) != len(moduli4):
-        raise ValueError("mod-2 class has the wrong number of coordinates")
-    return tuple((2 * a) % m for a, m in zip(vec, moduli4))
+    check_class_vector(vec, mod2_class_moduli(profile), "mod-2 class", "H^4(M;Z2)")
+    return tuple((2 * a) % m for a, m in zip(vec, mod4_class_moduli(profile)))
 
 
 def _vec_sum(vectors, moduli: tuple[int, ...]) -> tuple[int, ...]:
@@ -244,16 +242,27 @@ def _require_fragment(profile: ManifoldProfile) -> Mod2Fragment:
     return profile.mod2_fragment
 
 
-def _check_bits(vec, n: int, what: str) -> None:
-    if len(vec) != n or any(b not in (0, 1) for b in vec):
-        raise ValueError(f"{what} must be a 0/1 vector of length {n}")
+def check_class_vector(vec, moduli: tuple[int, ...], what: str, group: str) -> None:
+    """The one rule for a class vector: an integer coordinate per modulus
+    m, each reduced, 0 <= a < m.  A degree-2 mod-2 class has moduli
+    (2,) * dim; a degree-4 class has the matched moduli of its
+    coefficient group."""
+    reduced = len(vec) == len(moduli) and all(
+        type(a) is int and 0 <= a < m for a, m in zip(vec, moduli)
+    )
+    if not reduced:
+        if set(moduli) <= {2}:
+            raise ValueError(f"{what} must be a 0/1 vector of length {len(moduli)}")
+        raise ValueError(
+            f"{what} must be reduced in {group}: one coordinate below each modulus {moduli}"
+        )
 
 
 def cup_product(profile: ManifoldProfile, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     """Cup product of two mod-2 degree-2 classes, from the fragment tables."""
     frag = _require_fragment(profile)
-    _check_bits(x, frag.h2_dim, "degree-2 class")
-    _check_bits(y, frag.h2_dim, "degree-2 class")
+    for vec in (x, y):
+        check_class_vector(vec, (2,) * frag.h2_dim, "degree-2 class", "H^2(M;Z2)")
     moduli = mod2_class_moduli(profile)
     terms = [
         frag.cup22[i][j]
@@ -276,8 +285,8 @@ def pontryagin_square(profile: ManifoldProfile, x: tuple[int, ...]) -> tuple[int
     doubled, without a mod-2 sum first.
     """
     frag = _require_fragment(profile)
-    _check_bits(x, frag.h2_dim, "degree-2 class")
     n = frag.h2_dim
+    check_class_vector(x, (2,) * n, "degree-2 class", "H^2(M;Z2)")
     terms = [frag.psquare[i] for i in range(n) if x[i]] + [
         tuple(2 * a for a in frag.cup22[i][j])
         for i in range(n) if x[i] for j in range(i + 1, n) if x[j]
@@ -302,32 +311,24 @@ def _validate_fragment(profile: ManifoldProfile, out: list[str]) -> None:
         out.append(
             f"mod-2 fragment dimension {n} does not match dim H^2(M;Z2) = {expected}"
         )
-    moduli2 = mod2_class_moduli(profile)
-    moduli4 = mod4_class_moduli(profile)
-    if len(frag.w2_class) != n or any(b not in (0, 1) for b in frag.w2_class):
-        out.append("w2 class must be a 0/1 vector in the fragment basis")
-        return
     if len(frag.cup22) != n or any(len(row) != n for row in frag.cup22):
         out.append("cup product table must be square of the fragment dimension")
         return
     if len(frag.psquare) != n:
         out.append("Pontryagin square table must cover the fragment basis")
         return
-    for i in range(n):
-        for j in range(n):
-            val = frag.cup22[i][j]
-            if len(val) != len(moduli2) or any(
-                not 0 <= a < max(m, 1) for a, m in zip(val, moduli2)
-            ):
-                out.append("cup product values must be reduced degree-4 mod-2 classes")
-                return
-    for i in range(n):
-        val = frag.psquare[i]
-        if len(val) != len(moduli4) or any(
-            not 0 <= a < max(m, 1) for a, m in zip(val, moduli4)
-        ):
-            out.append("Pontryagin square values must be reduced degree-4 mod-4 classes")
-            return
+    moduli2 = mod2_class_moduli(profile)
+    moduli4 = mod4_class_moduli(profile)
+    try:
+        check_class_vector(frag.w2_class, (2,) * n, "w2 class", "H^2(M;Z2)")
+        for row in frag.cup22:
+            for val in row:
+                check_class_vector(val, moduli2, "cup product value", "H^4(M;Z2)")
+        for val in frag.psquare:
+            check_class_vector(val, moduli4, "Pontryagin square value", "H^4(M;Z4)")
+    except ValueError as exc:
+        out.append(str(exc))
+        return
     for i in range(n):
         for j in range(i + 1, n):
             if frag.cup22[i][j] != frag.cup22[j][i]:

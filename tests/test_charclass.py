@@ -90,8 +90,11 @@ class TestRecordValidation:
 
     def test_bits_enforced(self):
         wu = catalog("wu")
-        with pytest.raises(ValueError, match="0/1"):
-            Bundle3Data(base=wu, w2_zero=False, p1=cohomology(wu, 4).zero(), w2_class=(2,))
+        for w2_class in ((2,), (1.0,), (0.5,), (True,)):
+            with pytest.raises(ValueError, match="0/1"):
+                Bundle3Data(
+                    base=wu, w2_zero=False, p1=cohomology(wu, 4).zero(), w2_class=w2_class
+                )
 
     def test_rank5_w4_class_consistency(self):
         lens = lens_bundle(4)
@@ -104,6 +107,21 @@ class TestRecordValidation:
                 w5_zero=True,
                 p1=h4.zero(),
                 w2_class=(1,),
+                w4_class=(1,),
+            )
+
+    def test_w4_class_reduced_in_matched_moduli(self):
+        # H^4(M;Z) = Z/3, so H^4(M;Z2) = 0: its one matched coordinate has
+        # modulus 1 and only the zero class exists
+        lens = lens_bundle(3)
+        with pytest.raises(ValueError, match="w4 class must be reduced in H\\^4\\(M;Z2\\)"):
+            Bundle5Data(
+                base=lens,
+                w2_zero=lens.spin,
+                w4_zero=False,
+                w5_zero=True,
+                p1=lens.p1,
+                w2_class=lens.mod2_fragment.w2_class,
                 w4_class=(1,),
             )
 

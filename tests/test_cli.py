@@ -406,6 +406,21 @@ class TestOversizedInputs:
         assert err.startswith(f"error: cannot factor the torsion coefficient {big}")
         assert "Traceback" not in err
 
+    def test_deeply_nested_json_is_refused(self, tmp_path):
+        s5 = '{"construction": "catalog", "name": "s5"}'
+        brackets = tmp_path / "brackets.json"
+        brackets.write_text("[" * 2000)
+        sums = tmp_path / "sums.json"
+        sums.write_text(
+            '{"construction": "connected_sum", "parts": [' * 1500
+            + s5
+            + f", {s5}]}}" * 1500
+        )
+        for f in (brackets, sums):
+            code, out, err = run_process("invariants", str(f))
+            assert code == 1 and out == ""
+            assert err == f"error: {f}: input is nested too deeply to read\n"
+
 
 class TestReproduce:
     def test_prop17(self, capsys):

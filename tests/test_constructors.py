@@ -136,6 +136,15 @@ class TestHypersurface:
             FourManifoldProfile(
                 b2=1, Q=one, w2_vector=(1.7,), euler_char=3, p1_eval=3, signature=1
             )
+        with pytest.raises(TypeError):
+            FourManifoldProfile(
+                b2=1,
+                Q=IntegerMatrix(1, 1, ((1.0,),)),
+                w2_vector=(1,),
+                euler_char=3,
+                p1_eval=3,
+                signature=1,
+            )
 
     def test_hyperplane_classes(self):
         assert hyperplane_class(1) == (1,)

@@ -89,6 +89,20 @@ class TestIntegerMatrix:
         assert IntegerMatrix.diagonal((2, -1, 0)).entries == ((2, 0, 0), (0, -1, 0), (0, 0, 0))
         assert IntegerMatrix.diagonal(()) == IntegerMatrix.zero(0, 0)
 
+    def test_non_integer_entries_refused(self):
+        with pytest.raises(TypeError):
+            IntegerMatrix(1, 1, ((2.5,),)).determinant()
+        with pytest.raises(TypeError):
+            cokernel(IntegerMatrix(2, 1, ((1.5,), (0,))))
+        with pytest.raises(TypeError):
+            IntegerMatrix.diagonal([1.0])
+
+    def test_integer_types_converted(self):
+        import numpy
+
+        m = IntegerMatrix(1, 2, ((numpy.int64(3), 1),))
+        assert m.entries == ((3, 1),) and type(m.entries[0][0]) is int
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             IntegerMatrix.from_rows([[1, 2], [3]])
