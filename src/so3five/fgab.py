@@ -23,7 +23,7 @@ so structural equality is the only equality we ever need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _cartesian
+from itertools import count, product as _cartesian
 from math import gcd
 from operator import index, mul
 
@@ -131,27 +131,30 @@ class IntegerMatrix:
         """Exact determinant by the fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        rank, minor = _rank_and_minor(self.entries)
+        return minor if rank == self.rows else 0
+
+
+def _rank_and_minor(rows: object) -> tuple[int, int]:
+    """Rank r of the rows and a nonzero r x r minor (1 when r = 0), by
+    fraction-free Bareiss elimination: each pivot is, up to sign, the minor
+    on the pivot rows and columns so far, so the divisions are exact.  The
+    minor carries the sign of the row swaps, so a square matrix of full
+    rank gets its determinant."""
+    a = [list(row) for row in rows]
+    rank, prev, sign = 0, 1, 1
+    for j in range(len(a[0]) if a else 0):
+        i = next((i for i in range(rank, len(a)) if a[i][j]), None)
+        if i is None:
+            continue
+        if i != rank:
+            a[i], a[rank], sign = a[rank], a[i], -sign
+        top, pivot, k = a[rank], a[rank][j], j + 1
+        for row in a[rank + 1 :]:  # column j is never read again
+            e = row[j]
+            row[k:] = [(x * pivot - e * y) // prev for x, y in zip(row[k:], top[k:])]
+        prev, rank = pivot, rank + 1
+    return rank, sign * prev
 
 
 def vector_content(vector: object) -> int:
@@ -530,15 +533,47 @@ def cokernel_with_projection(A: IntegerMatrix):
     return group, project
 
 
-def cokernel(A: IntegerMatrix) -> FgAbGroup:
-    """Z^rows modulo the column span of A, in canonical form.
+def _peel_units(a: list[list[int]], modulus: int) -> int:
+    """Split unit pivots off the rows ``a`` modulo ``modulus`` (0: over Z,
+    where the units are +-1); return how many.  A unit at (i, j) clears
+    column j by row operations, and column operations would then clear
+    row i alone, leaving a Z/1 summand: row i and column j are dropped."""
+    for peeled in count():
+        units = ((i, j) for i, r in enumerate(a) for j, e in enumerate(r) if gcd(e, modulus) == 1)
+        i, j = next(units, (None, None))
+        if i is None:
+            return peeled
+        top = a.pop(i)
+        inverse = pow(top[j], -1, modulus) if modulus else top[j]
+        for k, r in enumerate(a):
+            q = r[j] * inverse % modulus if modulus else r[j] * inverse
+            if q:
+                r = a[k] = [(x - q * y) % modulus if modulus else x - q * y for x, y in zip(r, top)]
+            del r[j]
 
-    Only the invariant factors are read, so A is eliminated with no
-    border and no witness is built (see :func:`_diagonalize`).
+
+def cokernel(A: IntegerMatrix) -> FgAbGroup:
+    """Z^rows modulo the column span of A, in canonical form, with no witness.
+
+    After the +-1 pivots over Z, Bareiss elimination of the rest, B, gives
+    its rank r and D = |a nonzero r x r minor|.  B's nonzero invariant
+    factors d1 | ... | dr have d1...dr dividing every r x r minor, so each
+    di divides D.  Integer unimodular operations stay invertible modulo D,
+    so B's Smith form over Z/D is diag(di mod D), associate to gcd(di, D)
+    = di.  Each of the u unit pivots modulo D splits off a Z/1 (see
+    :func:`_peel_units`); the block left, usually empty or 1 x 1, goes to
+    :func:`_diagonalize`, and each of the first r - u entries c on its
+    diagonal gives a di as gcd(c, D).
     """
     a = [list(row) for row in A.entries]
-    _diagonalize(a, A.rows, A.cols)
-    return _diagonal_cokernel(a, A.rows, A.cols)[0]
+    _peel_units(a, 0)
+    rank, minor = _rank_and_minor(a)
+    free, modulus = len(a) - rank, abs(minor)
+    if modulus == 1:
+        return FgAbGroup(free)
+    rank -= _peel_units(a, modulus)
+    _diagonalize(a, len(a), len(a[0]) if a else 0)
+    return FgAbGroup(free, tuple(d for i in range(rank) if (d := gcd(a[i][i], modulus)) > 1))
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +584,7 @@ def cokernel(A: IntegerMatrix) -> FgAbGroup:
 def mod_p_dimension(group: FgAbGroup, p: int) -> int:
     """dim over Z/p of G (x) Z/p, i.e. free rank plus the count of
     torsion coefficients divisible by p.  p must be prime."""
-    if not _is_prime(p):
+    if not _is_prime(p := index(p)):
         raise ValueError("mod-p dimension needs a prime p")
     return group.free_rank + sum(1 for d in group.torsion if d % p == 0)
 
@@ -564,7 +599,7 @@ def solve_divisibility(x: GroupElement, n: int) -> GroupElement | None:
     >>> solve_divisibility(G.element(torsion=[1]), 5).torsion
     (2,)
     """
-    if n <= 0:
+    if (n := index(n)) <= 0:
         raise ValueError("divisor must be a positive integer")
     free: list[int] = []
     for c in x.free:
@@ -589,7 +624,7 @@ def has_element_of_order(group: FgAbGroup, n: int) -> bool:
     the torsion subgroup (take the corresponding multiple of a
     generator of the largest cyclic factor).
     """
-    if n <= 0:
+    if (n := index(n)) <= 0:
         raise ValueError("order must be a positive integer")
     if n == 1:
         return True
@@ -609,7 +644,7 @@ def tensor_reduction_moduli(group: FgAbGroup, m: int) -> tuple[int, ...]:
     A free coordinate reduces into Z/m, a Z/d coordinate into
     Z/gcd(d, m).  Positions are kept aligned with the coordinates of G
     (modulus-1 positions are identically zero)."""
-    if m <= 0:
+    if (m := index(m)) <= 0:
         raise ValueError("modulus must be positive")
     return (m,) * group.free_rank + tuple(gcd(d, m) for d in group.torsion)
 

@@ -3,6 +3,7 @@
 import random
 from itertools import combinations, permutations, product
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 import sympy
@@ -75,6 +76,41 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
+def _grid(rows: int, cols: int, entries=st.integers(-9, 9)):
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+@st.composite
+def presentations(draw, rows=st.integers(0, 6), cols=st.integers(0, 6)):
+    """A dense, a rank-deficient (a product through k <= 3 columns) or a
+    common-factor (entries multiples of 2, 3 and 5) matrix, including the
+    0 x n and m x 0 shapes."""
+    m, n = draw(rows), draw(cols)
+    kind = draw(st.sampled_from(("dense", "thin", "common")))
+    if kind == "thin":
+        k = draw(st.integers(0, 3))
+        left, right = draw(_grid(m, k)), draw(_grid(k, n))
+        grid = [[sum(map(mul, r, c)) for c in zip(*right)] if k else [0] * n for r in left]
+    else:
+        factors = (1,) if kind == "dense" else (2, 3, 5, 6, 10, 15)
+        entries = st.builds(mul, st.sampled_from(factors), st.integers(-9, 9))
+        grid = draw(_grid(m, n, entries))
+    return IntegerMatrix(m, n, tuple(map(tuple, grid)))
+
+
+def to_sympy(a: IntegerMatrix) -> sympy.Matrix:
+    return sympy.Matrix(a.rows, a.cols, [x for row in a.entries for x in row])
+
+
+def sympy_cokernel(a: IntegerMatrix) -> FgAbGroup:
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    d = sympy_snf(to_sympy(a), domain=sympy.ZZ)
+    diag = [abs(int(d[i, i])) for i in range(min(a.rows, a.cols))]
+    return FgAbGroup.from_cyclic_orders(0, diag + [0] * (a.rows - len(diag)))
+
+
 class TestIntegerMatrix:
     def test_multiply_identity(self):
         a = IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
@@ -114,6 +150,25 @@ class TestIntegerMatrix:
             return
         mat = IntegerMatrix.from_rows(rows)
         assert mat.determinant() == brute_determinant(mat)
+
+    @given(st.integers(0, 5).flatmap(lambda n: presentations(st.just(n), st.just(n))))
+    @settings(max_examples=150, deadline=None)
+    def test_determinant_matches_sympy(self, a):
+        # thin products are singular; zeros in the leading columns force row swaps
+        assert a.determinant() == to_sympy(a).det()
+
+    @pytest.mark.parametrize(
+        "rows, det",
+        [
+            ([[0, 1], [1, 0]], -1),
+            ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+            ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
+            ([[0, 2, 1], [0, 4, 2], [3, 0, 0]], 0),
+            ([[0, 0, 2], [0, 3, 0], [5, 7, 1]], -30),
+        ],
+    )
+    def test_determinant_sign_follows_row_swaps(self, rows, det):
+        assert IntegerMatrix.from_rows(rows).determinant() == det
 
     def test_is_symmetric(self):
         assert IntegerMatrix.from_rows([[0, 1], [1, 0]]).is_symmetric()
@@ -296,10 +351,16 @@ class TestFgAbGroup:
         lambda: FgAbGroup(0, (2,)).element((), (1.5,)),
         lambda: GroupElement(FgAbGroup(1), (0.5,), ()),
         lambda: FgAbGroup(1).element((1,)).scale(1.5),
+        lambda: has_element_of_order(FgAbGroup(0, (5,)), 2.5),
+        lambda: mod_p_dimension(FgAbGroup(0, (5,)), 2.5),
+        lambda: solve_divisibility(FgAbGroup(0, (5,)).element((), (1,)), 2.5),
+        lambda: tensor_reduction_moduli(FgAbGroup(0, (5,)), 2.5),
     ],
     ids=[
         "from_rows", "diagonal", "apply", "vector_content", "group-torsion",
         "group-free-rank", "from_cyclic_orders", "element", "group-element", "scale",
+        "has_element_of_order", "mod_p_dimension", "solve_divisibility",
+        "tensor_reduction_moduli",
     ],
 )
 def test_non_integer_input_refused(build):
@@ -403,6 +464,43 @@ class TestCokernel:
         a = IntegerMatrix.from_rows([[2, 4], [6, 8]])
         u = IntegerMatrix.from_rows([[1, 1], [0, 1]])
         assert cokernel(u.multiply(a)) == cokernel(a)
+
+    @given(presentations())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_smith_diagonal_and_sympy(self, a):
+        diag = list(smith_normal_form(a).diagonal)
+        from_snf = FgAbGroup.from_cyclic_orders(0, diag + [0] * (a.rows - len(diag)))
+        assert cokernel(a) == from_snf == sympy_cokernel(a)
+
+    @pytest.mark.parametrize(
+        "rows, group, passes",
+        [
+            # D = 6 and no entry is a unit mod 6, yet d1 = 1
+            ([[6, 10, 15]], FgAbGroup(0, ()), [(0, 0), (6, 0)]),
+            ([[6, 0], [0, 6]], FgAbGroup(0, (6, 6)), [(0, 0), (36, 0)]),
+            # the last invariant factor is D itself
+            ([[5]], FgAbGroup(0, (5,)), [(0, 0), (5, 0)]),
+            ([[1, 0], [0, 5]], FgAbGroup(0, (5,)), [(0, 1), (5, 0)]),
+            # -2 = det: 3 is a unit mod 2 and splits off, leaving Z/2
+            ([[2, 3], [4, 5]], FgAbGroup(0, (2,)), [(0, 0), (2, 1)]),
+            # the minor is on columns 0 and 2: Bareiss skips column 1
+            ([[2, 4, 3], [4, 8, 7]], FgAbGroup(0, (2,)), [(0, 0), (2, 1)]),
+            # rank 0 and D = 1: no pass modulo D
+            ([[], []], FgAbGroup(2), [(0, 0)]),
+        ],
+    )
+    def test_unit_passes(self, monkeypatch, rows, group, passes):
+        import so3five.fgab as fgab
+
+        seen, peel = [], fgab._peel_units
+
+        def recording(a, modulus):
+            seen.append((modulus, peel(a, modulus)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(fgab, "_peel_units", recording)
+        assert cokernel(IntegerMatrix.from_rows(rows)) == group
+        assert seen == passes
 
 
 class TestSolveDivisibility:
