@@ -8,134 +8,24 @@ of an irreducible rank-3 subbundle of the tangent bundle, of two
 linearly independent vector fields, and of rank-3 and rank-5 bundles
 with prescribed characteristic classes.  All arithmetic is exact over
 the integers and finitely generated abelian groups.
+
+Each module's ``__all__`` is the one list of its public names; the
+package re-exports them all.
 """
 
-from .charclass import (
-    Bundle3Data,
-    Bundle5Data,
-    NecessaryConditions,
-    ObstructionReport,
-    degree5_twist,
-    necessary_conditions,
-    obstruction_report,
-    sym0_classes,
-    tangent_bundle_classes,
-)
-from .constructors import (
-    CircleBundleSpec,
-    FourManifoldProfile,
-    catalog,
-    catalog_names,
-    circle_bundle,
-    connected_sum,
-    find_euler_class,
-    hyperplane_class,
-    hypersurface,
-    product_3x2,
-)
-from .decide import (
-    Decision,
-    TraceLine,
-    Verdict,
-    decide_irreducible_so3,
-    decide_standard_so3,
-    decide_two_field,
-    rank3_bundle_exists,
-    rank5_relation_holds,
-)
-from .fgab import (
-    FgAbGroup,
-    GroupElement,
-    IntegerMatrix,
-    SnfDecomposition,
-    cokernel,
-    cokernel_with_projection,
-    direct_sum_elements,
-    has_element_of_order,
-    mod_p_dimension,
-    smith_normal_form,
-    solve_divisibility,
-    tensor_reduction,
-    tensor_reduction_moduli,
-    vector_content,
-)
-from .topology import (
-    CoefficientRing,
-    ManifoldProfile,
-    Mod2Fragment,
-    ProfileValidationError,
-    cohomology,
-    cup_product,
-    homology_mod2_dimension,
-    kervaire_semicharacteristic,
-    pontryagin_square,
-    profile_from_dict,
-    profile_from_json,
-    profile_to_dict,
-    profile_to_json,
-    require_valid,
-    semicharacteristic,
-    validate,
-)
+from . import charclass, constructors, decide, fgab, topology
+from .charclass import *
+from .constructors import *
+from .decide import *
+from .fgab import *
+from .topology import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bundle3Data",
-    "Bundle5Data",
-    "CircleBundleSpec",
-    "CoefficientRing",
-    "Decision",
-    "FgAbGroup",
-    "FourManifoldProfile",
-    "GroupElement",
-    "IntegerMatrix",
-    "ManifoldProfile",
-    "Mod2Fragment",
-    "NecessaryConditions",
-    "ObstructionReport",
-    "ProfileValidationError",
-    "SnfDecomposition",
-    "TraceLine",
-    "Verdict",
-    "catalog",
-    "catalog_names",
-    "circle_bundle",
-    "cohomology",
-    "cokernel",
-    "cokernel_with_projection",
-    "connected_sum",
-    "cup_product",
-    "decide_irreducible_so3",
-    "decide_standard_so3",
-    "decide_two_field",
-    "degree5_twist",
-    "direct_sum_elements",
-    "find_euler_class",
-    "has_element_of_order",
-    "homology_mod2_dimension",
-    "hyperplane_class",
-    "hypersurface",
-    "kervaire_semicharacteristic",
-    "mod_p_dimension",
-    "necessary_conditions",
-    "obstruction_report",
-    "pontryagin_square",
-    "product_3x2",
-    "profile_from_dict",
-    "profile_from_json",
-    "profile_to_dict",
-    "profile_to_json",
-    "rank3_bundle_exists",
-    "rank5_relation_holds",
-    "require_valid",
-    "semicharacteristic",
-    "sym0_classes",
-    "smith_normal_form",
-    "solve_divisibility",
-    "tangent_bundle_classes",
-    "tensor_reduction",
-    "tensor_reduction_moduli",
-    "validate",
-    "vector_content",
+    *charclass.__all__,
+    *constructors.__all__,
+    *decide.__all__,
+    *fgab.__all__,
+    *topology.__all__,
 ]

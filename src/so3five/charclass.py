@@ -18,7 +18,6 @@ from .fgab import GroupElement, solve_divisibility
 from .topology import (
     ManifoldProfile,
     check_class_vector,
-    cohomology,
     mod2_class_moduli,
     semicharacteristic,
     zero_mod2_class,
@@ -50,7 +49,7 @@ def _check_p1_and_w2(bundle: Bundle3Data | Bundle5Data) -> None:
     H^4(M;Z) of the base, and the w2 class is carried exactly when the
     base has a mod-2 fragment, as a class in its H^2(M;Z2)."""
     base = bundle.base
-    if bundle.p1.group != cohomology(base, 4):
+    if bundle.p1.group != base.p1.group:
         raise ValueError("bundle p1 must live in H^4(M;Z) of the base")
     if (bundle.w2_class is None) != (base.mod2_fragment is None):
         raise ValueError(

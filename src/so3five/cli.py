@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from operator import mul
 from pathlib import Path
 
 from .constructors import (
+    DEFAULT_SEARCH_BOUND,
     CircleBundleSpec,
     FourManifoldProfile,
     catalog,
@@ -55,10 +55,6 @@ from .topology import (
     profile_to_dict,
     semicharacteristic,
 )
-
-
-DEFAULT_SEARCH_BOUND = 3
-SEARCH_BOUND_ENV = "SO3FIVE_SEARCH_BOUND"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,22 +127,15 @@ def _load_profile(args: argparse.Namespace) -> ManifoldProfile:
         raise ValueError(f"{args.file}: input is nested too deeply to read") from None
 
 
-def _parse_int_csv(text: str) -> tuple[int, ...]:
+def _parse_int_csv(text: str, flag: str) -> tuple[int, ...]:
+    """Comma-separated integers; an empty argument is the empty vector,
+    and an empty field in a nonempty one is refused."""
+    if not text.strip():
+        return ()
     items = [tok.strip() for tok in text.split(",")]
-    return tuple(int(tok) for tok in items if tok != "")
-
-
-def _search_bound() -> int:
-    raw = os.environ.get(SEARCH_BOUND_ENV, "")
-    if not raw:
-        return DEFAULT_SEARCH_BOUND
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise ValueError(f"invalid {SEARCH_BOUND_ENV}: {raw!r}") from None
-    if bound < 0:
-        raise ValueError(f"invalid {SEARCH_BOUND_ENV}: {raw!r}")
-    return bound
+    if "" in items:
+        raise ValueError(f"{flag} has an empty field: {text!r}")
+    return tuple(int(tok) for tok in items)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +164,7 @@ def _print_profile_report(profile: ManifoldProfile, as_json: bool) -> None:
         print(f"  H_{i} = {group}")
     print(f"spin (w2 = 0): {'true' if profile.spin else 'false'}")
     print(f"w4 = 0: {'true' if profile.w4_is_zero else 'false'}")
-    print(f"p1 = {profile.p1} in H^4(M;Z) = {cohomology(profile, 4)}")
+    print(f"p1 = {profile.p1} in H^4(M;Z) = {profile.p1.group}")
     print(f"semicharacteristic chi-hat(M) mod 2: {chi}")
     print(f"Kervaire semicharacteristic k(M) mod 2: {k}")
     print("cohomology:")
@@ -230,7 +219,7 @@ def _run_checks(title: str, checks: list[tuple[str, object, object]], as_json: b
 _PROP17_C_LAWS = "c = u + w with Q(u, w) = 0, content(c) = 3, w in the box and w != u"
 
 
-def _prop17_checks(bound: int) -> list[tuple[str, object, object]]:
+def _prop17_checks() -> list[tuple[str, object, object]]:
     base, u = hypersurface(3), hyperplane_class(3)
     checks: list[tuple[str, object, object]] = [
         ("hypersurface(3) b2", base.b2, 7),
@@ -239,24 +228,23 @@ def _prop17_checks(bound: int) -> list[tuple[str, object, object]]:
         ("hypersurface(3) p1 evaluation", base.p1_eval, -15),
         ("hypersurface(3) spin", base.spin, False),
     ]
-    found = find_euler_class(base, u, 3, bound)
+    found = find_euler_class(base, u, 3, DEFAULT_SEARCH_BOUND)
     checks.append(("euler-class search succeeded", found is not None, True))
     if found is None:
         return checks
     c, w = found
-    # The first hit depends on the bound, so c is checked against the laws
-    # the search promises, not pinned coordinates; the lines below check
-    # the bundle it gives.
+    # c is checked against the laws the search promises, not pinned
+    # coordinates; the lines below check the bundle it gives.
     lawful = (
         c == tuple(a + b for a, b in zip(u, w))
         and sum(map(mul, base.Q.apply(u), w)) == 0
         and vector_content(c) == 3
-        and max(map(abs, w)) <= bound
+        and max(map(abs, w)) <= DEFAULT_SEARCH_BOUND
         and w != u
     )
     checks.append(("euler class c", c, c if lawful else _PROP17_C_LAWS))
     total = circle_bundle(CircleBundleSpec(base, c))
-    h4 = cohomology(total, 4)
+    h4 = total.p1.group
     decision = decide_irreducible_so3(total)
     checks.extend(
         [
@@ -279,7 +267,7 @@ _T3 = (FgAbGroup(1), FgAbGroup(3), FgAbGroup(3), FgAbGroup(1))
 _RP3 = (FgAbGroup(1), FgAbGroup(0, (2,)), FgAbGroup.trivial(), FgAbGroup(1))
 
 
-def _sec5_checks(bound: int) -> list[tuple[str, object, object]]:
+def _sec5_checks() -> list[tuple[str, object, object]]:
     checks: list[tuple[str, object, object]] = []
 
     wu = catalog("wu")
@@ -295,7 +283,7 @@ def _sec5_checks(bound: int) -> list[tuple[str, object, object]]:
         ]
     )
 
-    checks.extend(_prop17_checks(bound))
+    checks.extend(_prop17_checks())
 
     products = [
         ("S3 x S2", product_3x2(_S3, 0)),
@@ -377,12 +365,12 @@ def _cmd_bundle(args: argparse.Namespace) -> int:
     if args.w2 is None:
         w2 = (0,) * (fragment.h2_dim if fragment is not None else 0)
     else:
-        w2 = _parse_int_csv(args.w2)
-    h4 = cohomology(profile, 4)
+        w2 = _parse_int_csv(args.w2, "--w2")
+    h4 = profile.p1.group
     if args.p1 is None:
         p1 = h4.zero()
     else:
-        coords = _parse_int_csv(args.p1)
+        coords = _parse_int_csv(args.p1, "--p1")
         need = h4.free_rank + len(h4.torsion)
         if len(coords) != need:
             raise ValueError(
@@ -411,10 +399,9 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    bound = _search_bound()
     if args.target == "prop1.7":
-        return _run_checks("reproduce prop1.7", _prop17_checks(bound), args.json)
-    return _run_checks("reproduce sec5", _sec5_checks(bound), args.json)
+        return _run_checks("reproduce prop1.7", _prop17_checks(), args.json)
+    return _run_checks("reproduce sec5", _sec5_checks(), args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:

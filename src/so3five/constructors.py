@@ -20,16 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product as _cartesian
-from math import gcd
 from operator import index
 
 from .fgab import (
     FgAbGroup,
-    GroupElement,
     IntegerMatrix,
     cokernel,
     direct_sum_elements,
     mod_p_dimension,
+    tensor_reduction_moduli,
     vector_content,
 )
 from .topology import ManifoldProfile, Mod2Fragment
@@ -461,20 +460,16 @@ def circle_bundle(spec: CircleBundleSpec) -> ManifoldProfile:
         basis = [i for i in range(b2) if i != j0]
     else:
         basis = list(range(b2))
-    m2, m4 = gcd(g, 2), gcd(g, 4)
-
-    def deg4_mod2(value: int) -> tuple[int, ...]:
-        return (value % m2,) if g > 1 else ()
-
-    def deg4_mod4(value: int) -> tuple[int, ...]:
-        return (value % m4,) if g > 1 else ()
-
+    # degree-4 values in the matched coordinates of H^4 = Z_g
+    moduli2 = tensor_reduction_moduli(h4, 2)
+    moduli4 = tensor_reduction_moduli(h4, 4)
+    q = base.Q.entries
     fragment = Mod2Fragment(
         h2_dim=len(basis),
         cup22=tuple(
-            tuple(deg4_mod2(base.Q.entries[i][j]) for j in basis) for i in basis
+            tuple(tuple(q[i][j] % m for m in moduli2) for j in basis) for i in basis
         ),
-        psquare=tuple(deg4_mod4(base.Q.entries[i][i]) for i in basis),
+        psquare=tuple(tuple(q[i][i] % m for m in moduli4) for i in basis),
         w2_class=tuple(w[i] % 2 for i in basis),
     )
 
@@ -488,11 +483,15 @@ def circle_bundle(spec: CircleBundleSpec) -> ManifoldProfile:
     )
 
 
+# the box [-3, 3]^b2 of the paper's Prop 1.7 search
+DEFAULT_SEARCH_BOUND = 3
+
+
 def find_euler_class(
     base: FourManifoldProfile,
     u: object,
     target_torsion: int,
-    search_bound: int = 3,
+    search_bound: int = DEFAULT_SEARCH_BOUND,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """First vector w (lexicographically, in the box [-bound, bound]^b2)
     with Q(u, w) = 0, w != u and content(Q (u + w)) = target_torsion.

@@ -20,7 +20,6 @@ from .charclass import Bundle5Data
 from .fgab import GroupElement, has_element_of_order, solve_divisibility, tensor_reduction
 from .topology import (
     ManifoldProfile,
-    cohomology,
     homology_mod2_dimension,
     kervaire_semicharacteristic,
     mod4_class_moduli,
@@ -86,7 +85,7 @@ def decide_irreducible_so3(profile: ManifoldProfile) -> Decision:
     Unknown otherwise.  Simply connected profiles get the shortcut
     citation prefixed and the parity restatement recorded.
     """
-    h4 = cohomology(profile, 4)
+    h4 = profile.p1.group
     simply_connected = profile.homology[1].is_trivial()
     p1_div5 = solve_divisibility(profile.p1, 5) is not None
     w4_line = TraceLine("w4(M) = 0", _bool(profile.w4_is_zero), profile.w4_is_zero)
@@ -249,7 +248,7 @@ def rank3_bundle_exists(
     in H^4) are recorded in the trace with their actual truth values.
     """
     rhs = pontryagin_square(profile, tuple(w2_class))
-    h4 = cohomology(profile, 4)
+    h4 = profile.p1.group
     if p1_candidate.group != h4:
         raise ValueError("candidate p1 must live in H^4(M;Z)")
     lhs = tensor_reduction(p1_candidate, 4)

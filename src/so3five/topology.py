@@ -47,19 +47,12 @@ __all__ = [
     "semicharacteristic",
     "kervaire_semicharacteristic",
     "homology_mod2_dimension",
-    "mod2_class_moduli",
-    "mod4_class_moduli",
-    "zero_mod2_class",
-    "zero_mod4_class",
     "cup_product",
     "pontryagin_square",
-    "include_mod2_into_mod4",
     "profile_to_dict",
     "profile_from_dict",
     "profile_to_json",
     "profile_from_json",
-    "group_to_dict",
-    "group_from_dict",
 ]
 
 
@@ -104,7 +97,8 @@ class ManifoldProfile:
     The name is a label only and does not participate in equality;
     profiles are equal iff their invariants are.  Construction runs
     ``validate`` and raises ``ProfileValidationError`` listing every
-    violation, so an instance is always a valid profile.
+    violation, so an instance is always a valid profile.  Since
+    ``validate`` checks it, ``p1.group`` is H^4(M;Z) of the profile.
     """
 
     name: str = field(compare=False)
@@ -201,12 +195,12 @@ def kervaire_semicharacteristic(profile: ManifoldProfile) -> int:
 
 def mod2_class_moduli(profile: ManifoldProfile) -> tuple[int, ...]:
     """Cyclic moduli of H^4(M; Z_2) matched to the coordinates of H^4(M; Z)."""
-    return tensor_reduction_moduli(cohomology(profile, 4), 2)
+    return tensor_reduction_moduli(profile.p1.group, 2)
 
 
 def mod4_class_moduli(profile: ManifoldProfile) -> tuple[int, ...]:
     """Cyclic moduli of H^4(M; Z_4) matched to the coordinates of H^4(M; Z)."""
-    return tensor_reduction_moduli(cohomology(profile, 4), 4)
+    return tensor_reduction_moduli(profile.p1.group, 4)
 
 
 def zero_mod2_class(profile: ManifoldProfile) -> tuple[int, ...]:
@@ -461,6 +455,8 @@ def profile_from_dict(data: dict) -> ManifoldProfile:
             raise ValueError("homology must list H_0..H_5")
         h4 = FgAbGroup(homology[4].free_rank, homology[3].torsion)
         p1_data = data.get("p1", {"free": [], "torsion": []})
+        if not isinstance(p1_data, dict):
+            raise TypeError(f"p1 must be an object, got {p1_data!r}")
         p1 = GroupElement(
             h4,
             tuple(json_int(c, "p1 coordinate") for c in p1_data.get("free", ())),

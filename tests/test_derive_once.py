@@ -143,11 +143,11 @@ def test_fragment_arithmetic_derives_degree_four_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(topology, "cohomology", counting)
+    # both read H^4(M;Z) as total.p1.group and derive no cohomology
     pontryagin_square(total, (1,) * total.mod2_fragment.h2_dim)
-    assert len(calls) == 1
-    calls.clear()
+    assert calls == []
     assert rank5_relation_holds(total, tangent)
-    assert len(calls) <= 2
+    assert calls == []
 
 
 def test_cokernels_build_no_smith_witnesses(monkeypatch):
