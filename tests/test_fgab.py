@@ -355,12 +355,13 @@ class TestFgAbGroup:
         lambda: mod_p_dimension(FgAbGroup(0, (5,)), 2.5),
         lambda: solve_divisibility(FgAbGroup(0, (5,)).element((), (1,)), 2.5),
         lambda: tensor_reduction_moduli(FgAbGroup(0, (5,)), 2.5),
+        lambda: cokernel_with_projection(IntegerMatrix.from_rows([[2], [0]]))[1]((1, 0.5)),
     ],
     ids=[
         "from_rows", "diagonal", "apply", "vector_content", "group-torsion",
         "group-free-rank", "from_cyclic_orders", "element", "group-element", "scale",
         "has_element_of_order", "mod_p_dimension", "solve_divisibility",
-        "tensor_reduction_moduli",
+        "tensor_reduction_moduli", "project",
     ],
 )
 def test_non_integer_input_refused(build):
@@ -413,6 +414,49 @@ class TestGroupElement:
         assert acc == e.scale(7) == 7 * e
 
 
+def smith_class(a: IntegerMatrix, x) -> GroupElement:
+    """The class of x in coker(A), read through smith_normal_form's U."""
+    snf = smith_normal_form(a)
+    full = snf.diagonal + (0,) * (a.rows - len(snf.diagonal))
+    y = snf.U.apply(x)
+    group = FgAbGroup(sum(d == 0 for d in full), tuple(d for d in full if d >= 2))
+    return group.element(
+        [y[i] for i, d in enumerate(full) if d == 0], [y[i] for i, d in enumerate(full) if d >= 2]
+    )
+
+
+def _seeded_dense(rows: int, cols: int) -> IntegerMatrix:
+    rng = random.Random(rows * 1000 + cols)
+    return IntegerMatrix.from_rows([[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)])
+
+
+def _disguised_diagonal() -> IntegerMatrix:
+    """P * diag(1, 1, 1, 2, 6, 12, 0, 0) * Q with P, Q products of random
+    elementary matrices: both free and torsion rows of U are read."""
+    rng = random.Random(8)
+    diag = (1, 1, 1, 2, 6, 12, 0, 0)
+    a = [list(row) for row in IntegerMatrix.diagonal(diag).entries]
+    for _ in range(40):
+        i, j = rng.sample(range(len(diag)), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]  # P: row operation
+        for row in a:  # Q: column operation
+            row[j] += q * row[i]
+    return IntegerMatrix.from_rows(a)
+
+
+# larger than the Hypothesis strategies draw, plus the degenerate shapes
+PINNED_MATRICES = {
+    "dense-12x10": _seeded_dense(12, 10),
+    "dense-10x12": _seeded_dense(10, 12),
+    "dense-16x16": _seeded_dense(16, 16),
+    "disguised-diagonal": _disguised_diagonal(),
+    "3x0": IntegerMatrix.zero(3, 0),
+    "0x4": IntegerMatrix.zero(0, 4),
+    "zero-3x2": IntegerMatrix.zero(3, 2),
+}
+
+
 class TestCokernel:
     def test_worked_example(self):
         a = IntegerMatrix.from_rows([[2, 4], [6, 8]])
@@ -459,6 +503,22 @@ class TestCokernel:
                 vec = (c0, c1)
                 seen.add(project(vec))
         assert len(seen) == 8
+
+    @pytest.mark.parametrize("rows", [(), (1, 2, 3)], ids=["short", "long"])
+    def test_projection_refuses_wrong_length(self, rows):
+        _, project = cokernel_with_projection(IntegerMatrix.from_rows([[2], [0]]))
+        with pytest.raises(ValueError):
+            project(rows)
+
+    @pytest.mark.parametrize("a", PINNED_MATRICES.values(), ids=PINNED_MATRICES.keys())
+    def test_projection_is_the_class_of_smith_u(self, a):
+        rng = random.Random(a.rows * 100 + a.cols)
+        group, project = cokernel_with_projection(a)
+        assert group == cokernel(a)
+        for bound in (20, 2**100):
+            for _ in range(4):
+                x = [rng.choice((-1, 1)) * bound + rng.randrange(-20, 21) for _ in range(a.rows)]
+                assert project(x) == smith_class(a, x)
 
     def test_unimodular_change_preserves_group(self):
         a = IntegerMatrix.from_rows([[2, 4], [6, 8]])
