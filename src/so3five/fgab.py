@@ -188,8 +188,9 @@ class SnfDecomposition:
         return tuple(self.D.entries[i][i] for i in range(n))
 
 
-def _diagonalize(a: list[list[int]], m: int, n: int) -> None:
-    """Reduce the top-left m x n block of the rows ``a`` to Smith form.
+def _diagonalize(a: list[list[int]], m: int, n: int) -> list[tuple[int, int, int | None]]:
+    """Reduce the top-left m x n block of the rows ``a`` to Smith form and
+    return the row operations performed, in order.
 
     Pivots come from the block only.  A row operation acts on the whole
     row and a column operation on the whole column, so a border around
@@ -198,7 +199,14 @@ def _diagonalize(a: list[list[int]], m: int, n: int) -> None:
     never reach) end as A*V over V.  No pivot reads the border, so D,
     U and V come out the same whichever border a caller attaches, and
     U*A*V = D.
+
+    Each returned op (i, t, q) is an elementary matrix E with U = E_N...E_1:
+    q None swaps rows i and t; otherwise row i -= q * row t, which with
+    i == t and q == 2 negates row t, and with q == -1 is the divisibility
+    sweep's row t += row i.  Replaying them on I_m gives U without the
+    border (see :func:`cokernel_with_projection`).
     """
+    ops: list[tuple[int, int, int | None]] = []
     for t in range(min(m, n)):
         while True:
             # Pivot with least nonzero absolute value, re-selected on
@@ -214,12 +222,15 @@ def _diagonalize(a: list[list[int]], m: int, n: int) -> None:
                         pi, pj = i, j
             if best is None:
                 break
-            a[pi], a[t] = a[t], a[pi]
+            if pi != t:
+                a[pi], a[t] = a[t], a[pi]
+                ops.append((pi, t, None))
             if pj != t:
                 for row in a:
                     row[pj], row[t] = row[t], row[pj]
             if a[t][t] < 0:
                 a[t] = [-x for x in a[t]]
+                ops.append((t, t, 2))
             top = a[t]
             pivot = top[t]
             dirty = False
@@ -228,6 +239,7 @@ def _diagonalize(a: list[list[int]], m: int, n: int) -> None:
                 q = (2 * e + pivot) // (2 * pivot)
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], top)]
+                    ops.append((i, t, q))
                 dirty = dirty or a[i][t] != 0
             for j in range(t + 1, n):
                 e = top[j]
@@ -243,11 +255,13 @@ def _diagonalize(a: list[list[int]], m: int, n: int) -> None:
             for i in range(t + 1, m):
                 if any(x % pivot for x in a[i][t + 1 : n]):
                     a[t] = [x + y for x, y in zip(top, a[i])]
+                    ops.append((t, i, -1))
                     break
             else:
                 break
         if a[t][t] == 0:
             break
+    return ops
 
 
 def smith_normal_form(A: IntegerMatrix) -> SnfDecomposition:
@@ -507,28 +521,48 @@ def _diagonal_cokernel(a: list[list[int]], m: int, n: int):
     return group, free_positions, torsion_positions
 
 
+def _row_of_u(ops: list, m: int, k: int, modulus: int) -> list[int]:
+    """e_k^T U for U = E_N...E_1 from :func:`_diagonalize`'s ops, reduced
+    modulo ``modulus`` unless it is 0.  Walking backwards, v -> v*E is
+    v_t -= q*v_i for row i -= q*row t, and a swap of v_i and v_t."""
+    v = [0] * m
+    v[k] = 1
+    for i, t, q in reversed(ops):
+        if q is None:
+            v[i], v[t] = v[t], v[i]
+        elif v[i]:
+            v[t] = (v[t] - q * v[i]) % modulus if modulus else v[t] - q * v[i]
+    return v
+
+
 def cokernel_with_projection(A: IntegerMatrix):
     """Cokernel of A : Z^cols -> Z^rows together with the quotient map.
 
     Returns ``(G, project)`` where G is Z^rows / column-span(A) in
     canonical form and ``project`` sends a coordinate vector in Z^rows
     to its class in G.  If U*A*V = D then x + im(A) corresponds to
-    U*x + im(D), and only U is needed: A is eliminated bordered as
-    [A | I_rows], which ends as [D | U] (see :func:`_diagonalize`).
+    U*x + im(D), and only U is needed, and of U only the rows at free
+    positions (exactly) and at torsion positions k (modulo d_k, since
+    reduction mod d_k commutes with the integer map x -> U*x and the
+    element reduces that coordinate mod d_k anyway).  A is eliminated
+    alone; :func:`_diagonalize` returns U = E_N...E_1 as its row
+    operations, and e_k^T U = ((e_k^T E_N) E_(N-1))...E_1 is rebuilt one
+    wanted row at a time (see :func:`_row_of_u`).  The pivots are those
+    of the bordered elimination, so G and every projected coordinate
+    equal those read off :func:`smith_normal_form`'s U.
     """
     m, n = A.rows, A.cols
-    a = [list(row + e) for row, e in zip(A.entries, IntegerMatrix.identity(m).entries)]
-    _diagonalize(a, m, n)
+    a = [list(row) for row in A.entries]
+    ops = _diagonalize(a, m, n)
     group, free_positions, torsion_positions = _diagonal_cokernel(a, m, n)
-    U = IntegerMatrix(m, m, tuple(tuple(row[n:]) for row in a))
+    rows = [_row_of_u(ops, m, k, 0) for k in free_positions]
+    rows += (_row_of_u(ops, m, k, a[k][k]) for k in torsion_positions)
+    projection = IntegerMatrix(len(rows), m, tuple(map(tuple, rows)))
+    free = group.free_rank
 
     def project(coords: object) -> GroupElement:
-        y = U.apply(coords)
-        return GroupElement(
-            group,
-            tuple(y[i] for i in free_positions),
-            tuple(y[i] for i in torsion_positions),
-        )
+        y = projection.apply(coords)
+        return GroupElement(group, y[:free], y[free:])
 
     return group, project
 

@@ -167,3 +167,22 @@ def test_cokernels_build_no_smith_witnesses(monkeypatch):
         project((1,) * a.rows)
         assert fgab.cokernel(a) == group
     assert calls == []
+
+
+def test_projection_eliminates_a_without_a_border(monkeypatch):
+    import so3five.fgab as fgab
+
+    widths = []
+    original = fgab._diagonalize
+
+    def recording(a, m, n):
+        widths.append((n, {len(row) for row in a}))
+        return original(a, m, n)
+
+    monkeypatch.setattr(fgab, "_diagonalize", recording)
+    for rows in ([[2, 4], [6, 8]], [[3], [-3], [-3], [0]], [[0, 5, 10]], [[1, 2, 3], [4, 5, 6]]):
+        widths.clear()
+        group, project = fgab.cokernel_with_projection(fgab.IntegerMatrix.from_rows(rows))
+        project((1,) * len(rows))
+        # rows of exactly n entries: no [A | I_m] identity border
+        assert widths == [(len(rows[0]), {len(rows[0])})]

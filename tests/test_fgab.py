@@ -14,6 +14,7 @@ from so3five.fgab import (
     FgAbGroup,
     GroupElement,
     IntegerMatrix,
+    _diagonalize,
     _factorize,
     cokernel,
     cokernel_with_projection,
@@ -233,6 +234,26 @@ class TestSmithNormalForm:
         x = data.draw(st.lists(st.integers(-30, 30), min_size=a.rows, max_size=a.rows))
         y = snf.U.apply(x)
         assert project(x) == group.element([y[i] for i in free], [y[i] for i in torsion])
+
+    @given(presentations(rows=st.integers(0, 8), cols=st.integers(0, 8)))
+    @settings(max_examples=200, deadline=None)
+    def test_row_operations_replay_to_u(self, a):
+        m, n = a.rows, a.cols
+        bare = [list(row) for row in a.entries]
+        ops = _diagonalize(bare, m, n)
+        # forward on I_m, each op is row i -= q * row t, or a swap when q is None
+        u = [list(row) for row in IntegerMatrix.identity(m).entries]
+        for i, t, q in ops:
+            if q is None:
+                u[i], u[t] = u[t], u[i]
+            else:
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+        assert tuple(map(tuple, u)) == smith_normal_form(a).U.entries
+        # no pivot reads the border: [[A, I_m], [I_n]] gives the same ops
+        bordered = [list(row + e) for row, e in zip(a.entries, IntegerMatrix.identity(m).entries)]
+        bordered += map(list, IntegerMatrix.identity(n).entries)
+        assert _diagonalize(bordered, m, n) == ops
+        assert [row[:n] for row in bordered[:m]] == bare
 
     @given(small_matrices)
     @settings(max_examples=40)
