@@ -59,10 +59,10 @@ def test_parse_refuses_output_without_a_result(record):
 
 
 def test_record_groups_metrics_by_workload_with_units(record):
-    out = record.assemble("abc1234", "abc1234" + "0" * 33, "3.11.2", 7, 10.0, PLAIN, TRACED)
+    out = record.assemble("abc1234" + "0" * 33, "3.11.2", 7, 10.0, PLAIN, TRACED)
     assert json.loads(json.dumps(out)) == out
-    assert {k: out[k] for k in ("label", "python", "seed", "seconds", "correct")} == {
-        "label": "abc1234", "python": "3.11.2", "seed": 7, "seconds": 10.0, "correct": True,
+    assert {k: out[k] for k in ("python", "seed", "seconds", "correct")} == {
+        "python": "3.11.2", "seed": 7, "seconds": 10.0, "correct": True,
     }
     assert out["end_to_end"]["presentations"] == {
         "throughput_ops_s": {"value": 551.0, "unit": "ops/s"},
@@ -76,4 +76,10 @@ def test_record_groups_metrics_by_workload_with_units(record):
 
 def test_a_failed_run_marks_the_record(record):
     wrong = PLAIN.replace('"correct": true', '"correct": false')
-    assert record.assemble("x", "y", "3", 7, 10.0, wrong, TRACED)["correct"] is False
+    assert record.assemble("y", "3", 7, 10.0, wrong, TRACED)["correct"] is False
+
+
+def test_the_record_states_the_commands_run(record):
+    out = record.assemble("y", "3", 7, 0.5, PLAIN, TRACED)
+    assert out["command"] == {f"trace{t}": " ".join(["python3", *record.command(7, 0.5, t)]) for t in (0, 1)}
+    assert out["command"]["trace1"] == "python3 perfbench/run.py --workload all --seed 7 --seconds 0.5 --trace 1"
