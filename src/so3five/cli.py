@@ -96,10 +96,7 @@ def parse_recipe(data: object) -> ManifoldProfile:
             parts = data["parts"]
             if not isinstance(parts, list) or len(parts) < 2:
                 raise ValueError("connected_sum needs a list of at least two parts")
-            out = parse_recipe(parts[0])
-            for part in parts[1:]:
-                out = connected_sum(out, parse_recipe(part))
-            return out
+            return connected_sum(*map(parse_recipe, parts))
         if kind == "product_3x2":
             groups = tuple(group_from_dict(g) for g in data["n3_homology"])
             return product_3x2(groups, json_int(data["genus"], "genus"))
@@ -129,13 +126,16 @@ def _load_profile(args: argparse.Namespace) -> ManifoldProfile:
 
 def _parse_int_csv(text: str, flag: str) -> tuple[int, ...]:
     """Comma-separated integers; an empty argument is the empty vector,
-    and an empty field in a nonempty one is refused."""
+    and an empty or non-integer field in a nonempty one is refused."""
     if not text.strip():
         return ()
     items = [tok.strip() for tok in text.split(",")]
     if "" in items:
         raise ValueError(f"{flag} has an empty field: {text!r}")
-    return tuple(int(tok) for tok in items)
+    try:
+        return tuple(int(tok) for tok in items)
+    except ValueError:
+        raise ValueError(f"{flag} has a non-integer field: {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +297,7 @@ def _sec5_checks() -> list[tuple[str, object, object]]:
         checks.append(
             (f"{label} verdict", decide_irreducible_so3(profile).verdict.value, "Yes")
         )
-    triple = connected_sum(connected_sum(products[0][1], products[1][1]), products[3][1])
+    triple = connected_sum(products[0][1], products[1][1], products[3][1])
     checks.append(
         ("triple product sum verdict", decide_irreducible_so3(triple).verdict.value, "Yes")
     )
@@ -316,7 +316,7 @@ def _sec5_checks() -> list[tuple[str, object, object]]:
     )
 
     pair = connected_sum(trivial_bundle, trivial_bundle)
-    triple_sum = connected_sum(pair, trivial_bundle)
+    triple_sum = connected_sum(trivial_bundle, trivial_bundle, trivial_bundle)
     checks.extend(
         [
             ("pair sum k(M)", kervaire_semicharacteristic(pair), 1),

@@ -317,24 +317,27 @@ def catalog(name: str) -> ManifoldProfile:
 # ---------------------------------------------------------------------------
 
 
-def connected_sum(a: ManifoldProfile, b: ManifoldProfile) -> ManifoldProfile:
-    """Invariant profile of the connected sum of two profiles.
+def connected_sum(
+    first: ManifoldProfile, second: ManifoldProfile, *more: ManifoldProfile
+) -> ManifoldProfile:
+    """Invariant profile of the connected sum of two or more parts.
 
     Middle homology adds, spin and w4 vanishing are intersected, and p1
-    is the pair (p1(a), p1(b)) written canonically in the merged H^4.
-    The mod-2 fragment is not propagated: the summands' degree-4
-    coordinates are rewritten by an element-dependent isomorphism during
-    the merge, and carrying the tables through it is not implemented.
+    is the tuple of the parts' p1 written canonically in the merged H^4,
+    by one direct sum per degree and one merge: both are associative, so
+    any nesting of binary sums gives this profile.  The mod-2 fragment
+    is not propagated: the summands' degree-4 coordinates are rewritten
+    by an element-dependent isomorphism during the merge, and carrying
+    the tables through it is not implemented.
     """
-    middle = tuple(a.homology[i].direct_sum(b.homology[i]) for i in range(1, 5))
-    homology = (_Z,) + middle + (_Z,)
-    p1 = direct_sum_elements([a.p1, b.p1])
+    parts = (first, second, *more)
+    middle = [_O.direct_sum(*hs) for hs in zip(*(p.homology[1:5] for p in parts))]
     return ManifoldProfile(
-        name=f"{a.name} # {b.name}",
-        homology=homology,
-        spin=a.spin and b.spin,
-        w4_is_zero=a.w4_is_zero and b.w4_is_zero,
-        p1=p1,
+        name=" # ".join(p.name for p in parts),
+        homology=(_Z, *middle, _Z),
+        spin=all(p.spin for p in parts),
+        w4_is_zero=all(p.w4_is_zero for p in parts),
+        p1=direct_sum_elements(p.p1 for p in parts),
         mod2_fragment=None,
     )
 
@@ -342,14 +345,11 @@ def connected_sum(a: ManifoldProfile, b: ManifoldProfile) -> ManifoldProfile:
 def _kunneth(
     left: tuple[FgAbGroup, ...], right: tuple[FgAbGroup, ...], k: int
 ) -> FgAbGroup:
-    out = FgAbGroup.trivial()
-    for i, gl in enumerate(left):
-        for j, gr in enumerate(right):
-            if i + j == k:
-                out = out.direct_sum(gl.tensor(gr))
-            elif i + j == k - 1:
-                out = out.direct_sum(gl.tor(gr))
-    return out
+    terms = [
+        gl.tensor(gr) if i + j == k else gl.tor(gr)
+        for i, gl in enumerate(left) for j, gr in enumerate(right) if i + j in (k, k - 1)
+    ]
+    return _O.direct_sum(*terms)
 
 
 def product_3x2(n3_homology: object, genus: int) -> ManifoldProfile:
@@ -372,6 +372,9 @@ def product_3x2(n3_homology: object, genus: int) -> ManifoldProfile:
         raise ValueError("rank H_2 must equal rank H_1 (Poincare duality)")
     if genus < 0:
         raise ValueError("genus must be nonnegative")
+    # H_2 and H_3 get 2g copies of each torsion coefficient of H_1(N)
+    if genus > 100:
+        raise ValueError(f"genus {genus} is too large: the supported range is 0..100")
     surface = (_Z, FgAbGroup(2 * genus, ()), _Z)
     homology = tuple(_kunneth(n3, surface, k) for k in range(6))
     h4 = FgAbGroup(homology[4].free_rank, homology[3].torsion)

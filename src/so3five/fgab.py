@@ -402,14 +402,9 @@ class FgAbGroup:
 
         Z (x) A = A and Z/m (x) Z/n = Z/gcd(m, n), extended bilinearly.
         """
-        orders: list[int] = []
-        orders.extend([0] * (self.free_rank * other.free_rank))
-        orders.extend(list(other.torsion) * self.free_rank)
-        orders.extend(list(self.torsion) * other.free_rank)
-        for a in self.torsion:
-            for b in other.torsion:
-                orders.append(gcd(a, b))
-        return FgAbGroup.from_cyclic_orders(0, orders)
+        orders = list(other.torsion) * self.free_rank + list(self.torsion) * other.free_rank
+        orders += (gcd(a, b) for a in self.torsion for b in other.torsion)
+        return FgAbGroup.from_cyclic_orders(self.free_rank * other.free_rank, orders)
 
     def tor(self, other: "FgAbGroup") -> "FgAbGroup":
         """Tor_1 over Z: free factors drop out, Tor(Z/m, Z/n) = Z/gcd."""

@@ -137,10 +137,11 @@ def cohomology(
     Finite cyclic coefficients Z/m: H_k (x) Z/m + Tor(H_{k-1}, Z/m)
     (for finitely generated homology this agrees with the Hom/Ext
     description).  Both summands are direct sums of cyclic groups:
-    H_k (x) Z/m has the orders ``tensor_reduction_moduli(H_k, m)``
-    (m per free factor, gcd(d, m) per Z/d), and Tor(Z/d, Z/m) =
-    Z/gcd(d, m), so the whole group is one ``from_cyclic_orders`` of
-    those orders.  Real coefficients keep the free rank only.
+    H_k (x) Z/m has one Z/m per free factor and Z/gcd(d, m) per Z/d,
+    and Tor(Z/d, Z/m) = Z/gcd(d, m).  Only the gcds are canonicalised:
+    each divides m, so appending one m per free factor keeps the chain,
+    and the free rank never enters the quadratic smoothing.  Real
+    coefficients keep the free rank only.
     """
     if not 0 <= k <= 5:
         raise ValueError("cohomology degree must be between 0 and 5")
@@ -151,9 +152,8 @@ def cohomology(
     if ring is CoefficientRing.R:
         return FgAbGroup(hk.free_rank, ())
     m = ring.modulus
-    return FgAbGroup.from_cyclic_orders(
-        0, tensor_reduction_moduli(hk, m) + tuple(gcd(d, m) for d in prev_torsion)
-    )
+    gcds = FgAbGroup.from_cyclic_orders(0, [gcd(d, m) for d in hk.torsion + prev_torsion])
+    return FgAbGroup(0, gcds.torsion + (m,) * hk.free_rank) if hk.free_rank else gcds
 
 
 def homology_mod2_dimension(profile: ManifoldProfile, i: int) -> int:

@@ -11,7 +11,7 @@ from so3five.charclass import (
     sym0_classes,
     tangent_bundle_classes,
 )
-from so3five.constructors import CircleBundleSpec, catalog, circle_bundle, hypersurface
+from so3five.constructors import catalog
 from so3five.fgab import FgAbGroup, tensor_reduction
 from so3five.topology import (
     ManifoldProfile,
@@ -21,15 +21,10 @@ from so3five.topology import (
     semicharacteristic,
 )
 
+from test_decide import lens_bundle
+
 Z = FgAbGroup(1)
 ZERO = FgAbGroup.trivial()
-
-
-def lens_bundle(c0: int, degree: int = 1) -> ManifoldProfile:
-    base = hypersurface(degree)
-    c = [0] * base.b2
-    c[0] = c0
-    return circle_bundle(CircleBundleSpec(base, tuple(c)))
 
 
 def spin_rank3(profile: ManifoldProfile, p1=None) -> Bundle3Data:

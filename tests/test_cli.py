@@ -248,6 +248,11 @@ class TestBundleCommand:
         code, out, _ = run(capsys, "bundle", "rank3", "--catalog", "wu", "--p1", "")
         assert code == 0 and "verdict: Yes" in out
 
+    def test_non_integer_p1_field_exits_one(self, capsys):
+        code, out, err = run(capsys, "bundle", "rank3", "--catalog", "wu", "--p1", "1.5")
+        assert code == 1 and out == ""
+        assert err == "error: --p1 has a non-integer field: '1.5'\n"
+
 
 class TestCatalogCommand:
     def test_list(self, capsys):
@@ -359,6 +364,20 @@ def _s5_raw(**changes):
     return {**profile_to_dict(catalog("s5")), **changes}
 
 
+def _raw_profile(name, h1_torsion=(), b2=0):
+    """A spin raw profile with torsion H_1, b_2 = b_3 = b2 and p1 = 0."""
+    z, zero = {"free": 1, "torsion": []}, {"free": 0, "torsion": []}
+    torsion = {"free": 0, "torsion": list(h1_torsion)}
+    return {
+        "name": name,
+        "homology": [z, torsion, {"free": b2, "torsion": []},
+                     {"free": b2, "torsion": list(h1_torsion)}, zero, z],
+        "spin": True,
+        "w4_zero": True,
+        "p1": {"free": [], "torsion": [0] * len(h1_torsion)},
+    }
+
+
 class TestStrictJsonTypes:
     """Numbers must be JSON integers, flags JSON booleans and lists lists:
     anything else exits 1 instead of being truncated, coerced or raised."""
@@ -424,6 +443,31 @@ class TestOversizedInputs:
         assert code == 1 and out == ""
         assert err.startswith(f"error: cannot factor the torsion coefficient {big}")
         assert "Traceback" not in err
+
+    def test_product_genus_above_range(self, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(_product_recipe([2], 10**8)))
+        code, out, err = run_process("decide", "irreducible-so3", str(f))
+        assert code == 1 and out == ""
+        assert err == "error: genus 100000000 is too large: the supported range is 0..100\n"
+
+    def test_sum_of_parts_with_large_prime_torsion(self, tmp_path):
+        # each H_1 factors by trial division, but the product of two of
+        # them, 4000064000087, would not: the sum must merge all parts at once
+        parts = [_raw_profile(f"L{p}", [p]) for p in (2000003, 2000029, 2000039)]
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"construction": "connected_sum", "parts": parts}))
+        code, out, err = run_process("decide", "irreducible-so3", str(f))
+        assert code == 0 and err == ""
+        assert out.startswith("verdict: ")
+
+    def test_invariants_of_a_large_free_rank(self, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(_raw_profile("big b2", b2=100000)))
+        code, out, err = run_process("invariants", str(f))
+        assert code == 0 and err == ""
+        z2 = " + ".join(["Z/2"] * 100000)
+        assert f"  Z2: H^0=Z/2, H^1=0, H^2={z2}, H^3={z2}, H^4=0, H^5=Z/2\n" in out
 
     def test_deeply_nested_json_is_refused(self, tmp_path):
         s5 = '{"construction": "catalog", "name": "s5"}'

@@ -1,6 +1,7 @@
 """Geometric constructors: hypersurfaces, catalog, sums, products, circle bundles."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product as cartesian
 
 import pytest
@@ -25,6 +26,7 @@ from so3five.fgab import FgAbGroup, IntegerMatrix, vector_content
 from so3five.topology import (
     cohomology,
     kervaire_semicharacteristic,
+    profile_to_dict,
     semicharacteristic,
     validate,
 )
@@ -263,6 +265,24 @@ class TestCatalog:
         assert cat.p1 == prod.p1
 
 
+def _bundle_over(degree, k):
+    base = hypersurface(degree)
+    return circle_bundle(CircleBundleSpec(base, (k,) + (0,) * (base.b2 - 1)))
+
+
+def _product_with(h1_orders, genus):
+    return product_3x2((Z, FgAbGroup.from_cyclic_orders(0, h1_orders), ZERO, Z), genus)
+
+
+# parts with H_1 torsion: circle bundles over hypersurface(1) and (3) with
+# c = (k, 0, ...), whose p1 is 3 or -15 mod k, and products N^3 x Sigma_g
+_SUMMANDS = st.one_of(
+    st.builds(_bundle_over, st.sampled_from([1, 3]), st.integers(2, 40)),
+    st.builds(_product_with, st.lists(st.integers(2, 12), max_size=2), st.integers(0, 2)),
+    st.sampled_from(catalog_names()).map(catalog),
+)
+
+
 class TestConnectedSum:
     def test_middle_homology_adds(self):
         a = catalog("s3xs2")
@@ -322,6 +342,15 @@ class TestConnectedSum:
         for a in (catalog("s5"), catalog("wu")):
             assert validate(connected_sum(a, a)) == []
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_SUMMANDS, min_size=2, max_size=5))
+    def test_one_pass_equals_the_left_fold(self, parts):
+        # the p1 merge factors every torsion coordinate, so the one-pass
+        # sum must agree with the fold on names, groups and p1 coordinates
+        assert profile_to_dict(connected_sum(*parts)) == profile_to_dict(
+            reduce(connected_sum, parts)
+        )
+
 
 class TestProduct3x2:
     def test_s3_times_torus_honest_kunneth(self):
@@ -361,6 +390,12 @@ class TestProduct3x2:
             product_3x2((Z, Z, ZERO, Z), 0)  # rank H2 != rank H1
         with pytest.raises(ValueError):
             product_3x2(S3, -1)
+
+    def test_genus_range(self):
+        h1 = FgAbGroup.from_cyclic_orders(0, [2, 4, 8])
+        assert validate(product_3x2((Z, h1, ZERO, Z), 100)) == []
+        with pytest.raises(ValueError, match="genus 101 is too large: the supported range is 0..100"):
+            product_3x2(S3, 101)
 
     def test_names_mention_both_factors(self):
         p = product_3x2(RP3, 2)
