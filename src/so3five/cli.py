@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from operator import mul
 from pathlib import Path
@@ -124,18 +125,33 @@ def _load_profile(args: argparse.Namespace) -> ManifoldProfile:
         raise ValueError(f"{args.file}: input is nested too deeply to read") from None
 
 
+# a decimal integer literal as int() reads it (\d is any Unicode decimal digit)
+_INTEGER_FIELD = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
 def _parse_int_csv(text: str, flag: str) -> tuple[int, ...]:
     """Comma-separated integers; an empty argument is the empty vector,
-    and an empty or non-integer field in a nonempty one is refused."""
+    and an empty or non-integer field in a nonempty one is refused.  An
+    integer field past the interpreter's limit on the digits int() reads
+    is refused as too long, echoing only its first digits."""
     if not text.strip():
         return ()
     items = [tok.strip() for tok in text.split(",")]
     if "" in items:
         raise ValueError(f"{flag} has an empty field: {text!r}")
-    try:
-        return tuple(int(tok) for tok in items)
-    except ValueError:
-        raise ValueError(f"{flag} has a non-integer field: {text!r}") from None
+    out = []
+    for tok in items:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            if _INTEGER_FIELD.fullmatch(tok) is None:
+                raise ValueError(f"{flag} has a non-integer field: {text!r}") from None
+            digits = sum(c.isdecimal() for c in tok)
+            raise ValueError(
+                f"{flag} has a field of {digits} digits, too many to read as an integer: "
+                f"{tok[:10]!r}..."
+            ) from None
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count, product as _cartesian
 from math import gcd
-from operator import index, mul
+from operator import index, mod, mul
 
 
 __all__ = [
@@ -330,13 +330,22 @@ class FgAbGroup:
     def __post_init__(self) -> None:
         if index(self.free_rank) < 0:
             raise ValueError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(index(d) for d in self.torsion))
-        for d in self.torsion:
-            if d < 2:
-                raise ValueError("torsion coefficients must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            if b % a:
-                raise ValueError("torsion coefficients must form a divisibility chain")
+        # As in IntegerMatrix: a tuple of ints sums to an int.  Only other
+        # torsion (a list, a numpy scalar, a float) pays for operator.index,
+        # which refuses a non-integer with its own message; sum raises its
+        # own TypeError on a str or None, so that goes to index as well.
+        t = self.torsion
+        try:
+            exact = type(t) is tuple and type(sum(t)) is int
+        except TypeError:
+            exact = False
+        if not exact:
+            t = tuple(map(index, t))
+            object.__setattr__(self, "torsion", t)
+        if t and min(t) < 2:
+            raise ValueError("torsion coefficients must be >= 2")
+        if any(map(mod, t[1:], t)):
+            raise ValueError("torsion coefficients must form a divisibility chain")
 
     # -- construction -------------------------------------------------
 
@@ -345,20 +354,26 @@ class FgAbGroup:
         """Canonicalise a direct sum of cyclic groups.
 
         Order 0 means an infinite cyclic factor, order 1 a trivial one.
-        The other orders d_i are smoothed into a divisibility chain by
-        one pass that, for i < j with d_i not dividing d_j, replaces
-        (d_i, d_j) by (gcd, lcm), keeping the isomorphism type.  Once
-        row i is done, d_i divides every later entry, and later rows
-        keep it so: the gcd and lcm of two multiples of d_i are again
-        multiples of d_i.  One pass thus leaves an ascending chain,
-        with any 1s from coprime pairs in front.
+        The invariant-factor form does not depend on the order of the
+        summands, so the other orders d_i are sorted first; when each
+        then divides the next they already form the chain and are
+        returned at once, in linear time after the sort.  Otherwise they
+        are smoothed into a divisibility chain by one pass that, for
+        i < j with d_i not dividing d_j, replaces (d_i, d_j) by
+        (gcd, lcm), keeping the isomorphism type.  Once row i is done,
+        d_i divides every later entry, and later rows keep it so: the
+        gcd and lcm of two multiples of d_i are again multiples of d_i.
+        One pass thus leaves an ascending chain, with any 1s from
+        coprime pairs in front.
 
         >>> FgAbGroup.from_cyclic_orders(0, [6, 4])
         FgAbGroup(free_rank=0, torsion=(2, 12))
         """
-        ds = [abs(index(d)) for d in orders]
+        ds = list(map(abs, map(index, orders)))
         free = index(free_rank) + ds.count(0)
-        ds = [d for d in ds if d >= 2]
+        ds = sorted(d for d in ds if d >= 2)
+        if not any(map(mod, ds[1:], ds)):
+            return cls(free, tuple(ds))
         for i in range(len(ds)):
             for j in range(i + 1, len(ds)):
                 if ds[j] % ds[i]:

@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 
+_MODULI = {"Z2": 2, "Z4": 4, "Z5": 5, "Z10": 10}
+
+
 class CoefficientRing(Enum):
     """Coefficient rings supported by the cohomology computation."""
 
@@ -68,7 +71,7 @@ class CoefficientRing(Enum):
 
     @property
     def modulus(self) -> int | None:
-        return {"Z2": 2, "Z4": 4, "Z5": 5, "Z10": 10}.get(self.value)
+        return _MODULI.get(self._value_)
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,10 @@ class ManifoldProfile:
     ``validate`` and raises ``ProfileValidationError`` listing every
     violation, so an instance is always a valid profile.  Since
     ``validate`` checks it, ``p1.group`` is H^4(M;Z) of the profile.
+    The private ``_cohomology`` holds the groups :func:`cohomology` has
+    computed for this instance; it is not an invariant, so it takes no
+    part in equality, hashing, repr or serialisation, and a copy made
+    with ``dataclasses.replace`` starts with an empty one.
     """
 
     name: str = field(compare=False)
@@ -107,6 +114,9 @@ class ManifoldProfile:
     w4_is_zero: bool
     p1: GroupElement
     mod2_fragment: Mod2Fragment | None = None
+    _cohomology: dict[tuple[int, str], FgAbGroup] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.homology) != 6:
@@ -140,20 +150,35 @@ def cohomology(
     H_k (x) Z/m has one Z/m per free factor and Z/gcd(d, m) per Z/d,
     and Tor(Z/d, Z/m) = Z/gcd(d, m).  Only the gcds are canonicalised:
     each divides m, so appending one m per free factor keeps the chain,
-    and the free rank never enters the quadratic smoothing.  Real
-    coefficients keep the free rank only.
+    and the free rank never enters the smoothing.  Real coefficients
+    keep the free rank only.
+
+    Each group is computed once per profile and kept in the profile's
+    private cache, keyed by degree and ring; later calls return that
+    same group.  This is sound because the group is a function of the
+    homology alone, which is an immutable tuple of frozen groups, and
+    the result is itself frozen.  An invalid degree raises before the
+    cache is read and is never stored.
     """
     if not 0 <= k <= 5:
         raise ValueError("cohomology degree must be between 0 and 5")
+    key = (k, ring._value_)  # a str hashes in C, an Enum member in Python
+    group = profile._cohomology.get(key)
+    if group is not None:
+        return group
     hk = profile.homology[k]
     prev_torsion = profile.homology[k - 1].torsion if k >= 1 else ()
     if ring is CoefficientRing.Z:
-        return FgAbGroup(hk.free_rank, prev_torsion)
-    if ring is CoefficientRing.R:
-        return FgAbGroup(hk.free_rank, ())
-    m = ring.modulus
-    gcds = FgAbGroup.from_cyclic_orders(0, [gcd(d, m) for d in hk.torsion + prev_torsion])
-    return FgAbGroup(0, gcds.torsion + (m,) * hk.free_rank) if hk.free_rank else gcds
+        group = FgAbGroup(hk.free_rank, prev_torsion)
+    elif ring is CoefficientRing.R:
+        group = FgAbGroup(hk.free_rank, ())
+    else:
+        m = ring.modulus
+        group = FgAbGroup.from_cyclic_orders(0, [gcd(d, m) for d in hk.torsion + prev_torsion])
+        if hk.free_rank:
+            group = FgAbGroup(0, group.torsion + (m,) * hk.free_rank)
+    profile._cohomology[key] = group
+    return group
 
 
 def homology_mod2_dimension(profile: ManifoldProfile, i: int) -> int:

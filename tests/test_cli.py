@@ -253,6 +253,18 @@ class TestBundleCommand:
         assert code == 1 and out == ""
         assert err == "error: --p1 has a non-integer field: '1.5'\n"
 
+    def test_p1_field_past_the_digit_limit_exits_one(self, capsys):
+        # int() refuses a decimal string of more than 4300 digits; the field
+        # is an integer, so it is called too long and only its start is echoed
+        code, out, err = run(capsys, "bundle", "rank3", "--catalog", "wu", "--p1", "1" * 5000)
+        assert code == 1 and out == ""
+        assert err == (
+            "error: --p1 has a field of 5000 digits, too many to read as an integer: "
+            "'1111111111'...\n"
+        )
+        code, _, err = run(capsys, "bundle", "rank3", "--catalog", "wu", "--p1", "-" + "2" * 5000)
+        assert code == 1 and err.startswith("error: --p1 has a field of 5000 digits") and len(err) < 100
+
 
 class TestCatalogCommand:
     def test_list(self, capsys):
@@ -468,6 +480,16 @@ class TestOversizedInputs:
         assert code == 0 and err == ""
         z2 = " + ".join(["Z/2"] * 100000)
         assert f"  Z2: H^0=Z/2, H^1=0, H^2={z2}, H^3={z2}, H^4=0, H^5=Z/2\n" in out
+
+    def test_invariants_of_a_large_two_torsion(self, tmp_path):
+        # (Z/2)^5000 is a divisibility chain: canonicalising it is linear
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(_raw_profile("big H1", h1_torsion=[2] * 5000)))
+        code, out, err = run_process("invariants", str(f))
+        assert code == 0 and err == ""
+        z2 = " + ".join(["Z/2"] * 5000)
+        assert f"  Z: H^0=Z, H^1=0, H^2={z2}, H^3=0, H^4={z2}, H^5=Z\n" in out
+        assert f"  Z2: H^0=Z/2, H^1={z2}, H^2={z2}, H^3={z2}, H^4={z2}, H^5=Z/2\n" in out
 
     def test_deeply_nested_json_is_refused(self, tmp_path):
         s5 = '{"construction": "catalog", "name": "s5"}'

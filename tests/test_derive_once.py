@@ -1,5 +1,6 @@
 """Each derived fact has one formula, and no layer re-derives it."""
 
+import dataclasses
 import random
 import sys
 
@@ -17,9 +18,23 @@ from so3five.constructors import (
     product_3x2,
 )
 from so3five.charclass import tangent_bundle_classes
-from so3five.decide import decide_irreducible_so3, rank5_relation_holds
+from so3five.cli import _print_profile_report
+from so3five.decide import (
+    decide_irreducible_so3,
+    decide_standard_so3,
+    decide_two_field,
+    rank3_bundle_exists,
+    rank5_relation_holds,
+)
 from so3five.fgab import FgAbGroup
-from so3five.topology import CoefficientRing, cohomology, pontryagin_square
+from so3five.topology import (
+    CoefficientRing,
+    cohomology,
+    kervaire_semicharacteristic,
+    pontryagin_square,
+    profile_to_dict,
+    semicharacteristic,
+)
 
 from test_acceptance import random_simply_connected_profile
 from test_decide import (
@@ -75,12 +90,16 @@ def profiles(draw):
     return circle_bundle(CircleBundleSpec(base, tuple(euler)))
 
 
+QUERIES = [(k, ring) for ring in CoefficientRing for k in range(6)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(profiles())
-def test_cohomology_matches_universal_coefficient_oracle(profile):
-    for ring in CoefficientRing:
-        for k in range(6):
-            assert cohomology(profile, k, ring) == oracle_cohomology(profile, k, ring)
+@given(profiles(), st.permutations(QUERIES * 2))
+def test_cohomology_matches_universal_coefficient_oracle(profile, queries):
+    # every group twice, in shuffled order: a cached group answers as a
+    # fresh one would, whichever query came first
+    for k, ring in queries:
+        assert cohomology(profile, k, ring) == oracle_cohomology(profile, k, ring)
 
 
 def test_finite_ring_cohomology_builds_one_group(monkeypatch):
@@ -92,12 +111,75 @@ def test_finite_ring_cohomology_builds_one_group(monkeypatch):
         return original(cls, free_rank, orders)
 
     profile = connected_sum(catalog("wu"), product_3x2((Z, FgAbGroup(0, (4,)), ZERO, Z), 1))
+    # validation at construction has already derived some groups
+    derived = set(profile._cohomology)
     monkeypatch.setattr(FgAbGroup, "from_cyclic_orders", classmethod(counting))
     for ring in FINITE_RINGS:
         for k in range(6):
             calls.clear()
-            cohomology(profile, k, ring)
-            assert len(calls) == 1, (ring, k)
+            first = cohomology(profile, k, ring)
+            assert len(calls) == int((k, ring.value) not in derived), (ring, k)
+            calls.clear()
+            assert cohomology(profile, k, ring) is first
+            assert calls == [], (ring, k)
+
+
+def test_cohomology_cache_is_not_an_invariant():
+    used, fresh = catalog("wu"), catalog("wu")
+    for k, ring in QUERIES:
+        cohomology(used, k, ring)
+    assert len(used._cohomology) == len(QUERIES) > len(fresh._cohomology)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert profile_to_dict(used) == profile_to_dict(fresh)
+    assert dataclasses.replace(used)._cohomology == fresh._cohomology
+    with pytest.raises(ValueError, match="between 0 and 5"):
+        cohomology(used, 6, CoefficientRing.Z2)
+    assert len(used._cohomology) == len(QUERIES)
+
+
+@pytest.fixture
+def cohomology_results(monkeypatch):
+    """Every cohomology call made through a so3five namespace, as
+    (profile, k, ring, group returned); holding each profile keeps its id
+    from being reused."""
+    import so3five.topology as topology
+
+    results = []
+    original = topology.cohomology
+
+    def recording(profile, k, ring=CoefficientRing.Z):
+        group = original(profile, k, ring)
+        results.append((profile, k, ring, group))
+        return group
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("so3five") and getattr(module, "cohomology", None) is original:
+            monkeypatch.setattr(module, "cohomology", recording)
+    return results
+
+
+def test_consumers_build_each_cohomology_group_once(cohomology_results, capsys):
+    subjects = [catalog("wu"), lens_bundle(4), catalog("s3xs2"),
+                connected_sum(catalog("wu"), product_3x2((Z, FgAbGroup(0, (4,)), ZERO, Z), 1))]
+    for profile in subjects:
+        for as_json in (False, True):
+            _print_profile_report(profile, as_json)
+        semicharacteristic(profile)
+        kervaire_semicharacteristic(profile)
+        decide_irreducible_so3(profile)
+        decide_two_field(profile, "atiyah")
+        if profile.spin:
+            decide_two_field(profile, "thomas")
+        decide_standard_so3(profile)
+        if profile.mod2_fragment is not None:
+            rank3_bundle_exists(profile, profile.mod2_fragment.w2_class, profile.p1)
+    capsys.readouterr()
+    built = {}
+    for profile, k, ring, group in cohomology_results:
+        # a group built once is the one object every later call returns
+        key = (id(profile), k, ring)
+        assert built.setdefault(key, group) is group, (profile.name, k, ring)
+    assert len(cohomology_results) > len(built)
 
 
 @pytest.fixture

@@ -100,6 +100,46 @@ def presentations(draw, rows=st.integers(0, 6), cols=st.integers(0, 6)):
     return IntegerMatrix(m, n, tuple(map(tuple, grid)))
 
 
+def prime_power_oracle(rank: int, orders: list[int]) -> FgAbGroup:
+    """Elementary divisors per prime, largest exponents first, recombined
+    into invariant factors from the top of the chain down."""
+    powers: dict[int, list[int]] = {}
+    for d in map(abs, orders):
+        if d >= 2:
+            for p, e in sympy.factorint(d).items():
+                powers.setdefault(p, []).append(e)
+    depth = max((len(es) for es in powers.values()), default=0)
+    factors = []
+    for k in range(depth):
+        f = 1
+        for p, es in powers.items():
+            es_desc = sorted(es, reverse=True)
+            if k < len(es_desc):
+                f *= p ** es_desc[k]
+        factors.append(f)
+    return FgAbGroup(rank + orders.count(0), tuple(reversed(factors)))
+
+
+@st.composite
+def chain_orders(draw):
+    """Up to 64 cyclic orders around a divisibility chain of 2-, 3- and
+    5-smooth numbers: the chain sorted, shuffled, or with a power of 7
+    inserted, which no entry divides and which divides no entry, so the
+    sorted orders are not a chain; then some 0s and 1s, and signs."""
+    base = draw(st.sampled_from([2, 3, 4, 5, 6]))
+    chain = [base]
+    for step in draw(st.lists(st.sampled_from([1, 2, 3, 5]), max_size=55)):
+        chain.append(chain[-1] * step)
+    kind = draw(st.sampled_from(["sorted", "shuffled", "broken"]))
+    if kind == "shuffled":
+        chain = draw(st.permutations(chain))
+    elif kind == "broken":
+        chain.insert(draw(st.integers(0, len(chain))), 7 ** draw(st.integers(1, 2)))
+    orders = chain + draw(st.lists(st.sampled_from([0, 1]), max_size=4))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(orders), max_size=len(orders)))
+    return list(map(mul, signs, orders))
+
+
 def to_sympy(a: IntegerMatrix) -> sympy.Matrix:
     return sympy.Matrix(a.rows, a.cols, [x for row in a.entries for x in row])
 
@@ -283,24 +323,43 @@ class TestFgAbGroup:
         st.lists(st.one_of(st.sampled_from([0, 1]), st.integers(2, 720)), max_size=8),
     )
     def test_from_cyclic_orders_matches_prime_power_oracle(self, rank, orders):
-        # elementary divisors per prime, largest exponents first, recombined
-        # into invariant factors from the top of the chain down
-        powers: dict[int, list[int]] = {}
-        for d in orders:
-            if d >= 2:
-                for p, e in sympy.factorint(d).items():
-                    powers.setdefault(p, []).append(e)
-        depth = max((len(es) for es in powers.values()), default=0)
-        factors = []
-        for k in range(depth):
-            f = 1
-            for p, es in powers.items():
-                es_desc = sorted(es, reverse=True)
-                if k < len(es_desc):
-                    f *= p ** es_desc[k]
-            factors.append(f)
-        expected = FgAbGroup(rank + orders.count(0), tuple(reversed(factors)))
-        assert FgAbGroup.from_cyclic_orders(rank, orders) == expected
+        assert FgAbGroup.from_cyclic_orders(rank, orders) == prime_power_oracle(rank, orders)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), chain_orders())
+    def test_chains_and_broken_chains_match_prime_power_oracle(self, rank, orders):
+        assert FgAbGroup.from_cyclic_orders(rank, orders) == prime_power_oracle(rank, orders)
+
+    @pytest.mark.parametrize(
+        "torsion, error, message",
+        [
+            ((3, -3), ValueError, "torsion coefficients must be >= 2"),
+            ((2, True), ValueError, "torsion coefficients must be >= 2"),
+            ((3, 2), ValueError, "torsion coefficients must form a divisibility chain"),
+            ((2, 4.5), TypeError, "'float' object cannot be interpreted as an integer"),
+            ((2.0,), TypeError, "'float' object cannot be interpreted as an integer"),
+            (("2",), TypeError, "'str' object cannot be interpreted as an integer"),
+            ((None,), TypeError, "'NoneType' object cannot be interpreted as an integer"),
+            (5, TypeError, "'int' object is not iterable"),
+        ],
+    )
+    def test_constructor_refusals(self, torsion, error, message):
+        with pytest.raises(error) as refused:
+            FgAbGroup(0, torsion)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("kind", ["list", "generator", "numpy", "numpy-mixed"])
+    def test_integer_torsion_is_stored_as_a_tuple_of_int(self, kind):
+        if kind == "list":
+            torsion = [2, 4]
+        elif kind == "generator":
+            torsion = (d for d in (2, 4))
+        else:
+            int64 = pytest.importorskip("numpy").int64
+            torsion = (int64(2), int64(4)) if kind == "numpy" else (2, int64(4))
+        torsion = FgAbGroup(0, torsion).torsion
+        assert type(torsion) is tuple and list(map(type, torsion)) == [int, int]
+        assert torsion == (2, 4)
 
     def test_str(self):
         assert str(FgAbGroup.trivial()) == "0"
