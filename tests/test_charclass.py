@@ -1,5 +1,7 @@
 """Characteristic-class records and the rank-3 to rank-5 passage."""
 
+import json
+
 import pytest
 
 from so3five.charclass import (
@@ -11,7 +13,7 @@ from so3five.charclass import (
     sym0_classes,
     tangent_bundle_classes,
 )
-from so3five.constructors import catalog
+from so3five.constructors import catalog, product_3x2
 from so3five.fgab import FgAbGroup, tensor_reduction
 from so3five.topology import (
     ManifoldProfile,
@@ -270,3 +272,90 @@ class TestTangentClasses:
         assert not tb.w4_zero
         assert tb.w4_class is None
         assert tb.w2_class == (1,)
+
+
+def assert_record(record, expected: dict) -> None:
+    """to_dict equals expected, with the same JSON types (lists, bools, null)."""
+    d = record.to_dict()
+    assert d == expected
+    assert json.dumps(d, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def rp3_times_torus_p1():
+    """p1 = (4, -1; 1) in H^4 = Z^2 + Z/2 of RP^3 x T^2, a base without a fragment."""
+    base = product_3x2((Z, FgAbGroup(0, (2,)), ZERO, Z), 1)
+    return base, cohomology(base, 4).element((4, -1), (1,))
+
+
+class TestRecordDicts:
+    def test_bundle3_with_fragment(self):
+        record = tangent_style_rank3(lens_bundle(4))
+        assert_record(record, {
+            "base": "S1-bundle(c=4)",
+            "w2_zero": False,
+            "w2_class": [1],
+            "p1": {"free": [], "torsion": [3]},
+        })
+
+    def test_bundle3_without_fragment(self):
+        base, p1 = rp3_times_torus_p1()
+        record = Bundle3Data(base=base, w2_zero=True, p1=p1)
+        assert_record(record, {
+            "base": "N3(H1=Z/2) x Sigma_1",
+            "w2_zero": True,
+            "w2_class": None,
+            "p1": {"free": [4, -1], "torsion": [1]},
+        })
+
+    def test_bundle5_with_fragment(self):
+        record = tangent_bundle_classes(lens_bundle(4))
+        assert_record(record, {
+            "base": "S1-bundle(c=4)",
+            "w2_zero": False,
+            "w4_zero": False,
+            "w5_zero": True,
+            "w2_class": [1],
+            "w4_class": [1],
+            "p1": {"free": [], "torsion": [3]},
+        })
+
+    def test_bundle5_without_fragment(self):
+        base, p1 = rp3_times_torus_p1()
+        record = Bundle5Data(base=base, w2_zero=True, w4_zero=False, w5_zero=True, p1=p1)
+        assert_record(record, {
+            "base": "N3(H1=Z/2) x Sigma_1",
+            "w2_zero": True,
+            "w4_zero": False,
+            "w5_zero": True,
+            "w2_class": None,
+            "w4_class": None,
+            "p1": {"free": [4, -1], "torsion": [1]},
+        })
+
+    def test_necessary_conditions(self):
+        assert_record(necessary_conditions(tangent_bundle_classes(lens_bundle(5))), {
+            "p1_divisible_by_5": False,
+            "w4_zero": True,
+            "w5_zero": True,
+            "passes": False,
+        })
+        assert_record(necessary_conditions(tangent_bundle_classes(catalog("s5"))), {
+            "p1_divisible_by_5": True,
+            "w4_zero": True,
+            "w5_zero": True,
+            "passes": True,
+        })
+
+    def test_obstruction_report(self):
+        assert_record(obstruction_report(tangent_bundle_classes(lens_bundle(5))), {
+            "k1_vanishes": False,
+            "k1_mod5_part_zero": False,
+            "k1_mod2_part_zero": True,
+            "k2_value": None,
+        })
+        assert_record(obstruction_report(tangent_bundle_classes(catalog("s5"))), {
+            "k1_vanishes": True,
+            "k1_mod5_part_zero": True,
+            "k1_mod2_part_zero": True,
+            "k2_value": 1,
+        })

@@ -352,7 +352,28 @@ class TestConnectedSum:
         )
 
 
+def general_kunneth(left, right, k):
+    """H_k of a product by the full Kunneth sum: tensor terms in degree k, Tor in k - 1."""
+    terms = [
+        gl.tensor(gr) if i + j == k else gl.tor(gr)
+        for i, gl in enumerate(left) for j, gr in enumerate(right) if i + j in (k, k - 1)
+    ]
+    return ZERO.direct_sum(*terms)
+
+
 class TestProduct3x2:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 3),
+        st.lists(st.sampled_from([2, 3, 4, 8, 9]), max_size=4),
+        st.integers(0, 4),
+    )
+    def test_homology_is_the_general_kunneth_sum(self, rank, orders, genus):
+        n3 = (Z, FgAbGroup.from_cyclic_orders(rank, orders), FgAbGroup(rank), Z)
+        surface = (Z, FgAbGroup(2 * genus), Z)
+        expected = tuple(general_kunneth(n3, surface, k) for k in range(6))
+        assert product_3x2(n3, genus).homology == expected
+
     def test_s3_times_torus_honest_kunneth(self):
         p = product_3x2(S3, 1)
         assert p.homology == (Z, FgAbGroup(2), Z, Z, FgAbGroup(2), Z)

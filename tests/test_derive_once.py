@@ -26,10 +26,11 @@ from so3five.decide import (
     rank3_bundle_exists,
     rank5_relation_holds,
 )
-from so3five.fgab import FgAbGroup
+from so3five.fgab import FgAbGroup, mod_p_dimension
 from so3five.topology import (
     CoefficientRing,
     cohomology,
+    homology_mod2_dimension,
     kervaire_semicharacteristic,
     pontryagin_square,
     profile_to_dict,
@@ -100,6 +101,16 @@ def test_cohomology_matches_universal_coefficient_oracle(profile, queries):
     # fresh one would, whichever query came first
     for k, ring in queries:
         assert cohomology(profile, k, ring) == oracle_cohomology(profile, k, ring)
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles())
+def test_mod2_dimension_is_the_z2_dimension_of_the_cohomology(profile):
+    for i in range(6):
+        z2 = cohomology(profile, i, CoefficientRing.Z2)
+        assert homology_mod2_dimension(profile, i) == mod_p_dimension(z2, 2), i
+    assert homology_mod2_dimension(profile, -1) == 0
+    assert homology_mod2_dimension(profile, 6) == 0
 
 
 def test_finite_ring_cohomology_builds_one_group(monkeypatch):
