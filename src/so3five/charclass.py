@@ -12,12 +12,13 @@ the primary/secondary obstruction report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .fgab import GroupElement, solve_divisibility
 from .topology import (
     ManifoldProfile,
     check_class_vector,
+    element_to_dict,
     mod2_class_moduli,
     semicharacteristic,
     zero_mod2_class,
@@ -60,6 +61,17 @@ def _check_p1_and_w2(bundle: Bundle3Data | Bundle5Data) -> None:
         _check_class(bundle.w2_zero, bundle.w2_class, moduli, "w2", "H^2(M;Z2)")
 
 
+def _record_dict(record: Bundle3Data | Bundle5Data) -> dict:
+    """Every field by name: the base as its name, p1 by element_to_dict, tuples as lists."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    out["base"] = record.base.name
+    out["p1"] = element_to_dict(record.p1)
+    return out
+
+
 @dataclass(frozen=True)
 class Bundle3Data:
     """Classifying data of a rank-3 bundle: w2 and p1.
@@ -78,12 +90,7 @@ class Bundle3Data:
         _check_p1_and_w2(self)
 
     def to_dict(self) -> dict:
-        return {
-            "base": self.base.name,
-            "w2_zero": self.w2_zero,
-            "w2_class": list(self.w2_class) if self.w2_class is not None else None,
-            "p1": {"free": list(self.p1.free), "torsion": list(self.p1.torsion)},
-        }
+        return _record_dict(self)
 
 
 @dataclass(frozen=True)
@@ -111,15 +118,7 @@ class Bundle5Data:
             _check_class(self.w4_zero, self.w4_class, moduli, "w4", "H^4(M;Z2)")
 
     def to_dict(self) -> dict:
-        return {
-            "base": self.base.name,
-            "w2_zero": self.w2_zero,
-            "w4_zero": self.w4_zero,
-            "w5_zero": self.w5_zero,
-            "w2_class": list(self.w2_class) if self.w2_class is not None else None,
-            "w4_class": list(self.w4_class) if self.w4_class is not None else None,
-            "p1": {"free": list(self.p1.free), "torsion": list(self.p1.torsion)},
-        }
+        return _record_dict(self)
 
 
 @dataclass(frozen=True)
@@ -135,12 +134,7 @@ class NecessaryConditions:
         return self.p1_divisible_by_5 and self.w4_zero and self.w5_zero
 
     def to_dict(self) -> dict:
-        return {
-            "p1_divisible_by_5": self.p1_divisible_by_5,
-            "w4_zero": self.w4_zero,
-            "w5_zero": self.w5_zero,
-            "passes": self.passes,
-        }
+        return {**asdict(self), "passes": self.passes}
 
 
 @dataclass(frozen=True)
@@ -161,12 +155,7 @@ class ObstructionReport:
         return self.k1_mod5_part_zero and self.k1_mod2_part_zero
 
     def to_dict(self) -> dict:
-        return {
-            "k1_vanishes": self.k1_vanishes,
-            "k1_mod5_part_zero": self.k1_mod5_part_zero,
-            "k1_mod2_part_zero": self.k1_mod2_part_zero,
-            "k2_value": self.k2_value,
-        }
+        return {**asdict(self), "k1_vanishes": self.k1_vanishes}
 
 
 def sym0_classes(bundle: Bundle3Data) -> Bundle5Data:

@@ -342,24 +342,16 @@ def connected_sum(
     )
 
 
-def _kunneth(
-    left: tuple[FgAbGroup, ...], right: tuple[FgAbGroup, ...], k: int
-) -> FgAbGroup:
-    terms = [
-        gl.tensor(gr) if i + j == k else gl.tor(gr)
-        for i, gl in enumerate(left) for j, gr in enumerate(right) if i + j in (k, k - 1)
-    ]
-    return _O.direct_sum(*terms)
-
-
 def product_3x2(n3_homology: object, genus: int) -> ManifoldProfile:
     """Product of a closed oriented 3-manifold with a genus-g surface.
 
     The 3-manifold enters through its homology (H_0..H_3), validated
     against Poincare duality; the surface contributes (Z, Z^2g, Z).
-    Homology of the product follows the Kunneth formula.  Both factors
-    are spin and the 3-manifold is parallelizable, so the product
-    profile is spin with w4 = 0 and p1 = 0.
+    That homology is free, so every Tor term of the Kunneth formula
+    vanishes and H_k = H_k(N) + H_{k-1}(N)^2g + H_{k-2}(N), one direct
+    sum per degree.  Both factors are spin and the 3-manifold is
+    parallelizable, so the product profile is spin with w4 = 0 and
+    p1 = 0.
     """
     n3 = tuple(n3_homology)
     if len(n3) != 4 or any(not isinstance(g, FgAbGroup) for g in n3):
@@ -375,8 +367,8 @@ def product_3x2(n3_homology: object, genus: int) -> ManifoldProfile:
     # H_2 and H_3 get 2g copies of each torsion coefficient of H_1(N)
     if genus > 100:
         raise ValueError(f"genus {genus} is too large: the supported range is 0..100")
-    surface = (_Z, FgAbGroup(2 * genus, ()), _Z)
-    homology = tuple(_kunneth(n3, surface, k) for k in range(6))
+    h = (_O, _O, *n3, _O, _O)  # h[k + 2] = H_k(N), trivial outside 0..3
+    homology = tuple(h[k + 2].direct_sum(*(h[k + 1],) * (2 * genus), h[k]) for k in range(6))
     h4 = FgAbGroup(homology[4].free_rank, homology[3].torsion)
     return ManifoldProfile(
         name=f"N3(H1={n3[1]}) x Sigma_{genus}",

@@ -328,7 +328,11 @@ class FgAbGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if index(self.free_rank) < 0:
+        r = self.free_rank
+        if type(r) is not int:  # a bool or a numpy scalar is stored as an int
+            r = index(r)
+            object.__setattr__(self, "free_rank", r)
+        if r < 0:
             raise ValueError("free rank must be nonnegative")
         # As in IntegerMatrix: a tuple of ints sums to an int.  Only other
         # torsion (a list, a numpy scalar, a float) pays for operator.index,
@@ -706,15 +710,13 @@ def tensor_reduction(x: GroupElement, m: int) -> tuple[int, ...]:
 
 
 def _crt(residues: list[tuple[int, int]]) -> int:
-    """x mod prod(m) with x = r (mod m) for each pair; moduli coprime."""
+    """The x in [0, prod(m)) with x = r (mod m) for each pair; coprime moduli >= 2."""
     x, mod = 0, 1
     for r, m in residues:
-        if m == 1:
-            continue
         k = ((r - x) * pow(mod % m, -1, m)) % m
         x += mod * k
         mod *= m
-    return x % mod if mod > 1 else 0
+    return x
 
 
 def direct_sum_elements(parts: object) -> GroupElement:

@@ -28,12 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
 
-from .fgab import (
-    FgAbGroup,
-    GroupElement,
-    mod_p_dimension,
-    tensor_reduction_moduli,
-)
+from .fgab import FgAbGroup, GroupElement, tensor_reduction_moduli
 
 
 __all__ = [
@@ -184,12 +179,13 @@ def cohomology(
 def homology_mod2_dimension(profile: ManifoldProfile, i: int) -> int:
     """dim over Z_2 of H_i(M; Z_2) = H_i (x) Z_2 + Tor(H_{i-1}, Z_2).
 
-    The same universal-coefficient sum gives H^i(M; Z_2), so this is the
-    Z_2-dimension of ``cohomology(profile, i, Z2)``; 0 outside 0..5.
+    The same universal-coefficient sum gives H^i(M; Z_2), which
+    ``cohomology`` builds as (Z/2)^k with free rank 0, so its dimension
+    is the length of its torsion; 0 outside 0..5.
     """
     if not 0 <= i <= 5:
         return 0
-    return mod_p_dimension(cohomology(profile, i, CoefficientRing.Z2), 2)
+    return len(cohomology(profile, i, CoefficientRing.Z2).torsion)
 
 
 def semicharacteristic(profile: ManifoldProfile) -> int:
@@ -372,7 +368,8 @@ def validate(profile: ManifoldProfile) -> list[str]:
     duality constraints (H_4 torsion-free of rank b_1, torsion of H_1
     equal to torsion of H_3, b_2 = b_3), the Wu-formula consequences
     for the flags, the home of p1, and the internal consistency of the
-    mod-2 fragment when present.
+    mod-2 fragment when present.  w2 is a class in H^2(M;Z2), so a
+    profile with H^2(M;Z2) = 0 has w2 = 0 and must be spin.
     """
     out: list[str] = []
     h = profile.homology
@@ -389,6 +386,8 @@ def validate(profile: ManifoldProfile) -> list[str]:
         out.append("torsion of H1 must equal torsion of H3 (Poincare duality)")
     if h[2].free_rank != h[3].free_rank:
         out.append("rank H2 must equal rank H3 (Poincare duality)")
+    if not profile.spin and cohomology(profile, 2, CoefficientRing.Z2).is_trivial():
+        out.append("w2 lives in H^2(M;Z2) = 0, so the spin flag must be set")
     if profile.spin and not profile.w4_is_zero:
         out.append("spin forces w4 = 0 (Wu formula)")
     if cohomology(profile, 4, CoefficientRing.Z2).is_trivial() and not profile.w4_is_zero:
@@ -429,6 +428,10 @@ def group_to_dict(group: FgAbGroup) -> dict:
     return {"free": group.free_rank, "torsion": list(group.torsion)}
 
 
+def element_to_dict(x: GroupElement) -> dict:
+    return {"free": list(x.free), "torsion": list(x.torsion)}
+
+
 def group_from_dict(data: dict) -> FgAbGroup:
     return FgAbGroup(
         json_int(data["free"], "free rank"),
@@ -458,19 +461,18 @@ def _fragment_from_dict(data: dict) -> Mod2Fragment:
 
 
 def profile_to_dict(profile: ManifoldProfile) -> dict:
-    out = {
+    return {
         "name": profile.name,
         "homology": [group_to_dict(g) for g in profile.homology],
         "spin": profile.spin,
         "w4_zero": profile.w4_is_zero,
-        "p1": {"free": list(profile.p1.free), "torsion": list(profile.p1.torsion)},
+        "p1": element_to_dict(profile.p1),
         "mod2_fragment": (
             _fragment_to_dict(profile.mod2_fragment)
             if profile.mod2_fragment is not None
             else None
         ),
     }
-    return out
 
 
 def profile_from_dict(data: dict) -> ManifoldProfile:

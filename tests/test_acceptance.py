@@ -24,6 +24,7 @@ from so3five.fgab import (
     FgAbGroup,
     IntegerMatrix,
     has_element_of_order,
+    mod_p_dimension,
     smith_normal_form,
     solve_divisibility,
 )
@@ -89,7 +90,7 @@ def random_simply_connected_profile(rng: random.Random) -> ManifoldProfile:
     b2 = rng.randrange(6)
     torsion_orders = [rng.choice([2, 3, 4, 5, 6, 8, 9]) for _ in range(rng.randrange(4))]
     h2 = FgAbGroup.from_cyclic_orders(b2, torsion_orders)
-    spin = rng.random() < 0.5
+    spin = rng.random() < 0.5 or mod_p_dimension(h2, 2) == 0  # w2 lives in H^2(M;Z2)
     return ManifoldProfile(
         name="random-simply-connected",
         homology=(Z, ZERO, h2, FgAbGroup(b2), ZERO, Z),

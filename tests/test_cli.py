@@ -109,6 +109,18 @@ class TestExitCodes:
         assert code == 2
         assert "H4 must be torsion-free" in err
 
+    def test_non_spin_profile_without_mod2_h2_exits_two(self, capsys, tmp_path):
+        # S^5's homology with the spin flag cleared: w2 has nowhere to live
+        data = profile_to_dict(catalog("s5"))
+        data["spin"] = False
+        data["mod2_fragment"] = None
+        f = tmp_path / "nonspin-s5.json"
+        f.write_text(json.dumps(data))
+        code, out, err = run(capsys, "decide", "irreducible-so3", str(f))
+        assert code == 2
+        assert out == ""
+        assert "w2 lives in H^2(M;Z2) = 0, so the spin flag must be set" in err
+
     def test_malformed_json_exits_one(self, capsys, tmp_path):
         f = tmp_path / "mal.json"
         f.write_text("{broken")

@@ -1,5 +1,6 @@
 """Exact-arithmetic core: matrices, Smith form, group calculus."""
 
+import json
 import random
 from itertools import combinations, permutations, product
 from math import gcd, lcm
@@ -27,6 +28,7 @@ from so3five.fgab import (
     tensor_reduction_moduli,
     vector_content,
 )
+from so3five.topology import group_from_dict, group_to_dict
 
 
 def brute_determinant(mat: IntegerMatrix) -> int:
@@ -360,6 +362,18 @@ class TestFgAbGroup:
         torsion = FgAbGroup(0, torsion).torsion
         assert type(torsion) is tuple and list(map(type, torsion)) == [int, int]
         assert torsion == (2, 4)
+
+    @pytest.mark.parametrize("kind", ["bool", "numpy"])
+    def test_free_rank_is_stored_as_an_int(self, kind):
+        if kind == "bool":
+            rank, expected = True, 1
+        else:
+            rank, expected = pytest.importorskip("numpy").int64(2), 2
+        group = FgAbGroup(rank, (2,))
+        assert type(group.free_rank) is int and group.free_rank == expected
+        data = json.loads(json.dumps(group_to_dict(group)))
+        assert data == {"free": expected, "torsion": [2]}
+        assert group_from_dict(data) == group
 
     def test_str(self):
         assert str(FgAbGroup.trivial()) == "0"

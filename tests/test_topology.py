@@ -110,6 +110,18 @@ class TestValidator:
             plain_profile([Z, ZERO, Z, Z, ZERO, Z], spin=False, w4=False)
         assert exc_info.value.violations
 
+    def test_vanishing_mod2_h2_forces_spin(self):
+        # S^5's homology: H^2(M;Z_2) = 0 leaves w2 no room to be nonzero
+        with pytest.raises(ProfileValidationError) as exc_info:
+            plain_profile([Z, ZERO, ZERO, ZERO, ZERO, Z], spin=False)
+        assert exc_info.value.violations == [
+            "w2 lives in H^2(M;Z2) = 0, so the spin flag must be set"
+        ]
+        # odd torsion in H_2 leaves H^2(M;Z_2) = 0 as well
+        with pytest.raises(ProfileValidationError):
+            plain_profile([Z, ZERO, FgAbGroup(0, (3, 3)), ZERO, ZERO, Z], spin=False)
+        assert validate(plain_profile([Z, ZERO, FgAbGroup(0, (2,)), ZERO, ZERO, Z], spin=False)) == []
+
     def test_require_valid_raises_with_violations(self):
         # construction runs require_valid, so the invalid profile never exists
         with pytest.raises(ProfileValidationError) as exc_info:
