@@ -481,7 +481,7 @@ def profile_from_dict(data: dict) -> ManifoldProfile:
         if len(homology) != 6:
             raise ValueError("homology must list H_0..H_5")
         h4 = FgAbGroup(homology[4].free_rank, homology[3].torsion)
-        p1_data = data.get("p1", {"free": [], "torsion": []})
+        p1_data = data.get("p1", {})
         if not isinstance(p1_data, dict):
             raise TypeError(f"p1 must be an object, got {p1_data!r}")
         p1 = GroupElement(
