@@ -18,6 +18,7 @@ from .fgab import GroupElement, solve_divisibility
 from .topology import (
     ManifoldProfile,
     check_class_vector,
+    cup_product,
     element_to_dict,
     mod2_class_moduli,
     semicharacteristic,
@@ -38,8 +39,21 @@ __all__ = [
 ]
 
 
-def _check_class(flag: bool, vec, moduli: tuple[int, ...], name: str, group: str) -> None:
-    """A carried class vector is reduced and agrees with its vanishing flag."""
+def _check_class(bundle: Bundle3Data | Bundle5Data, name: str, vec, flag: bool) -> None:
+    """A w2 or w4 class is carried exactly when the base has a mod-2
+    fragment; then it is reduced in its group (H^2(M;Z2) or H^4(M;Z2))
+    and agrees with its vanishing flag."""
+    base = bundle.base
+    if (vec is None) != (base.mod2_fragment is None):
+        raise ValueError(
+            f"{name} class must be present exactly when the base has a mod-2 fragment"
+        )
+    if vec is None:
+        return
+    if name == "w2":
+        moduli, group = (2,) * base.mod2_fragment.h2_dim, "H^2(M;Z2)"
+    else:
+        moduli, group = mod2_class_moduli(base), "H^4(M;Z2)"
     check_class_vector(vec, moduli, f"{name} class", group)
     if flag != (not any(vec)):
         raise ValueError(f"{name}_zero flag contradicts the {name} class vector")
@@ -47,18 +61,10 @@ def _check_class(flag: bool, vec, moduli: tuple[int, ...], name: str, group: str
 
 def _check_p1_and_w2(bundle: Bundle3Data | Bundle5Data) -> None:
     """Checks shared by the rank-3 and rank-5 records: p1 lies in
-    H^4(M;Z) of the base, and the w2 class is carried exactly when the
-    base has a mod-2 fragment, as a class in its H^2(M;Z2)."""
-    base = bundle.base
-    if bundle.p1.group != base.p1.group:
+    H^4(M;Z) of the base, and the w2 class follows _check_class."""
+    if bundle.p1.group != bundle.base.p1.group:
         raise ValueError("bundle p1 must live in H^4(M;Z) of the base")
-    if (bundle.w2_class is None) != (base.mod2_fragment is None):
-        raise ValueError(
-            "w2 class must be present exactly when the base has a mod-2 fragment"
-        )
-    if bundle.w2_class is not None:
-        moduli = (2,) * base.mod2_fragment.h2_dim
-        _check_class(bundle.w2_zero, bundle.w2_class, moduli, "w2", "H^2(M;Z2)")
+    _check_class(bundle, "w2", bundle.w2_class, bundle.w2_zero)
 
 
 def _record_dict(record: Bundle3Data | Bundle5Data) -> dict:
@@ -97,10 +103,10 @@ class Bundle3Data:
 class Bundle5Data:
     """Classifying data of a rank-5 bundle: w2, w4, w5 and p1.
 
-    w4_class is the degree-4 mod-2 class in matched coordinates when it
-    is known; a rank-5 check that needs the class and only has the flag
-    refuses rather than guessing.  w5 is kept as a flag only: no
-    criterion here consumes the class itself.
+    w2_class and w4_class (the degree-4 mod-2 class in matched
+    coordinates) are carried exactly when the base profile has a mod-2
+    fragment, and each must agree with its vanishing flag.  w5 is kept
+    as a flag only: no criterion here consumes the class itself.
     """
 
     base: ManifoldProfile
@@ -113,9 +119,7 @@ class Bundle5Data:
 
     def __post_init__(self) -> None:
         _check_p1_and_w2(self)
-        if self.w4_class is not None:
-            moduli = mod2_class_moduli(self.base)
-            _check_class(self.w4_zero, self.w4_class, moduli, "w4", "H^4(M;Z2)")
+        _check_class(self, "w4", self.w4_class, self.w4_zero)
 
     def to_dict(self) -> dict:
         return _record_dict(self)
@@ -225,20 +229,14 @@ def tangent_bundle_classes(profile: ManifoldProfile) -> Bundle5Data:
 
     w5 is hard-set to zero: the top Stiefel-Whitney class of a closed
     odd-dimensional manifold vanishes with its Euler characteristic.
-    When the profile has a fragment and w4 is determinable (it vanishes,
-    or H^4(M;Z_2) has dimension 1 so the nonzero class is unique), the
-    class vector is filled in; otherwise only the flag travels.
+    When the profile has a fragment, w4 is w2 cup w2 by Wu's formula,
+    which ``validate`` checks against the w4 flag.
     """
     frag = profile.mod2_fragment
-    w2_class = frag.w2_class if frag is not None else None
-    w4_class = None
+    w2_class = w4_class = None
     if frag is not None:
-        if profile.w4_is_zero:
-            w4_class = zero_mod2_class(profile)
-        else:
-            moduli = mod2_class_moduli(profile)
-            if sum(1 for m in moduli if m == 2) == 1:
-                w4_class = tuple(1 if m == 2 else 0 for m in moduli)
+        w2_class = frag.w2_class
+        w4_class = cup_product(profile, w2_class, w2_class)
     return Bundle5Data(
         base=profile,
         w2_zero=profile.spin,

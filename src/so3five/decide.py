@@ -192,10 +192,9 @@ def decide_standard_so3(profile: ManifoldProfile) -> Decision:
 
     The verdict is the Atiyah two-field verdict.  For spin profiles the
     trace additionally carries a cross-check of the reformulation
-    "irreducible iff standard and 5 | p1", and a warning when the
-    Thomas and Atiyah sub-verdicts disagree (their difference is the
-    mod-2 count of even torsion coefficients of H_2, reported without
-    interpretation).
+    "irreducible iff standard and 5 | p1"; it holds on every valid spin
+    profile, because ``validate``'s spin parity law makes the Thomas
+    and Atiyah semi-characteristics agree there.
     """
     base = decide_two_field(profile, "atiyah")
     trace = list(base.trace)
@@ -212,18 +211,6 @@ def decide_standard_so3(profile: ManifoldProfile) -> Decision:
                 agree,
             )
         )
-        chi = semicharacteristic(profile)
-        k = kervaire_semicharacteristic(profile)
-        if (chi == 0) != (k == 0):
-            t2 = sum(1 for d in profile.homology[2].torsion if d % 2 == 0) % 2
-            trace.append(
-                TraceLine(
-                    "warning: Thomas and Atiyah criteria disagree on this spin profile",
-                    f"chi-hat(M) = {chi}, k(M) = {k}, "
-                    f"difference t_2(H_2) mod 2 = {t2}",
-                    False,
-                )
-            )
     else:
         trace.append(
             TraceLine(
@@ -272,21 +259,14 @@ def rank3_bundle_exists(
 def rank5_relation_holds(profile: ManifoldProfile, bundle: Bundle5Data) -> bool:
     """Whether rho_4(p1) = psquare(w2) + i(w4) holds for the bundle data.
 
-    Evaluated in H^4(M;Z_4) through the profile's fragment.  When w4
-    does not vanish and no w4 class vector is available the relation
-    cannot be evaluated and the call refuses.
+    Evaluated in H^4(M;Z_4) through the profile's fragment.
     """
     if bundle.base != profile:
         raise ValueError("bundle data belongs to a different profile")
-    # the record carries a w2 class exactly when its base has a fragment,
-    # so pontryagin_square refuses a profile without one
+    # the record carries w2 and w4 classes exactly when its base has a
+    # fragment, so pontryagin_square refuses a profile without one
     square = pontryagin_square(profile, bundle.w2_class)
-    lhs = tensor_reduction(bundle.p1, 4)
-    if bundle.w4_zero:
-        return lhs == square
-    if bundle.w4_class is None:
-        raise ValueError("insufficient ring data: w4 class unknown")
     # i(w4) doubles componentwise, as in pontryagin_square
     moduli = mod4_class_moduli(profile)
     rhs = tuple((s + 2 * a) % m for s, a, m in zip(square, bundle.w4_class, moduli))
-    return lhs == rhs
+    return tensor_reduction(bundle.p1, 4) == rhs

@@ -356,9 +356,10 @@ def _validate_fragment(profile: ManifoldProfile, out: list[str]) -> None:
                 "Pontryagin square table violates the quadratic law on basis classes"
             )
             break
-    w2_zero = not any(frag.w2_class)
-    if w2_zero != profile.spin:
+    if profile.spin == any(frag.w2_class):
         out.append("fragment w2 class must vanish exactly when the profile is spin")
+    if profile.w4_is_zero == any(cup_product(profile, frag.w2_class, frag.w2_class)):
+        out.append("w4 must equal w2 cup w2 (Wu formula)")
 
 
 def validate(profile: ManifoldProfile) -> list[str]:
@@ -367,9 +368,23 @@ def validate(profile: ManifoldProfile) -> list[str]:
     Checks connectivity and closedness (H_0 = H_5 = Z), the Poincare
     duality constraints (H_4 torsion-free of rank b_1, torsion of H_1
     equal to torsion of H_3, b_2 = b_3), the Wu-formula consequences
-    for the flags, the home of p1, and the internal consistency of the
-    mod-2 fragment when present.  w2 is a class in H^2(M;Z2), so a
-    profile with H^2(M;Z2) = 0 has w2 = 0 and must be spin.
+    for the flags, the spin parity law, the home of p1, and the
+    internal consistency of the mod-2 fragment when present.  w2 is a
+    class in H^2(M;Z2), so a profile with H^2(M;Z2) = 0 has w2 = 0 and
+    must be spin.
+
+    Wu's formula: the Wu class of a closed oriented 5-manifold is
+    v = 1 + v_2 (v_i = 0 for 2i > 5, and v_1 = w_1 = 0), so w = Sq(v)
+    gives w_2 = v_2 and w_4 = Sq^2 v_2 = w_2^2 (Milnor-Stasheff, Section
+    11).  So spin forces w4 = 0, and with a fragment the w4 flag must
+    say whether w2 cup w2 vanishes.
+
+    Spin parity law: universal coefficients give dim H_i(M;Z2) =
+    b_i + t_2(H_i) + t_2(H_{i-1}), t_2 counting even torsion
+    coefficients, so with H_0 = Z and b_4 = b_1 the semi-characteristics
+    satisfy chi-hat - k = t_2(H_2) (mod 2).  Lusztig-Milnor-Peterson
+    (Topology 8, 1969) give chi-hat - k = <w2 w3, [M]>, which is 0 when
+    w2 = 0: a spin profile has an even t_2(H_2).
     """
     out: list[str] = []
     h = profile.homology
@@ -390,6 +405,11 @@ def validate(profile: ManifoldProfile) -> list[str]:
         out.append("w2 lives in H^2(M;Z2) = 0, so the spin flag must be set")
     if profile.spin and not profile.w4_is_zero:
         out.append("spin forces w4 = 0 (Wu formula)")
+    if profile.spin and sum(1 for d in h[2].torsion if d % 2 == 0) % 2:
+        out.append(
+            "spin forces an even number of even torsion coefficients in H2 "
+            "(Lusztig-Milnor-Peterson)"
+        )
     if cohomology(profile, 4, CoefficientRing.Z2).is_trivial() and not profile.w4_is_zero:
         out.append("w4 lives in H^4(M;Z2) = 0, so the w4 flag must be set")
     if profile.p1.group != cohomology(profile, 4):

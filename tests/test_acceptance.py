@@ -90,7 +90,10 @@ def random_simply_connected_profile(rng: random.Random) -> ManifoldProfile:
     b2 = rng.randrange(6)
     torsion_orders = [rng.choice([2, 3, 4, 5, 6, 8, 9]) for _ in range(rng.randrange(4))]
     h2 = FgAbGroup.from_cyclic_orders(b2, torsion_orders)
-    spin = rng.random() < 0.5 or mod_p_dimension(h2, 2) == 0  # w2 lives in H^2(M;Z2)
+    # w2 lives in H^2(M;Z2); a spin profile has an even count t2 of even
+    # torsion coefficients in H_2 (Lusztig-Milnor-Peterson)
+    t2 = sum(1 for d in h2.torsion if d % 2 == 0)
+    spin = (rng.random() < 0.5 and t2 % 2 == 0) or mod_p_dimension(h2, 2) == 0
     return ManifoldProfile(
         name="random-simply-connected",
         homology=(Z, ZERO, h2, FgAbGroup(b2), ZERO, Z),

@@ -17,13 +17,13 @@ from so3five.constructors import catalog, product_3x2
 from so3five.fgab import FgAbGroup, tensor_reduction
 from so3five.topology import (
     ManifoldProfile,
-    Mod2Fragment,
     ProfileValidationError,
     cohomology,
+    cup_product,
     semicharacteristic,
 )
 
-from test_decide import lens_bundle
+from test_decide import lens_bundle, wide_w4_profile
 
 Z = FgAbGroup(1)
 ZERO = FgAbGroup.trivial()
@@ -47,20 +47,6 @@ def tangent_style_rank3(profile: ManifoldProfile, p1=None) -> Bundle3Data:
         w2_zero=not any(w2),
         p1=p1 if p1 is not None else profile.p1,
         w2_class=w2,
-    )
-
-
-def undetermined_w4_profile() -> ManifoldProfile:
-    """Non-spin profile whose H^4(M;Z_2) is 2-dimensional with w4 nonzero."""
-    frag = Mod2Fragment(h2_dim=1, cup22=(((0, 0),),), psquare=((0, 0),), w2_class=(1,))
-    h4 = FgAbGroup(1, (2,))
-    return ManifoldProfile(
-        name="wide-w4",
-        homology=(Z, FgAbGroup(1, (2,)), ZERO, FgAbGroup(0, (2,)), Z, Z),
-        spin=False,
-        w4_is_zero=False,
-        p1=h4.zero(),
-        mod2_fragment=frag,
     )
 
 
@@ -105,6 +91,14 @@ class TestRecordValidation:
                 p1=h4.zero(),
                 w2_class=(1,),
                 w4_class=(1,),
+            )
+
+    def test_w4_class_refused_without_fragment(self):
+        base, p1 = rp3_times_torus_p1()
+        assert base.mod2_fragment is None
+        with pytest.raises(ValueError, match="w4 class must be present exactly"):
+            Bundle5Data(
+                base=base, w2_zero=True, w4_zero=True, w5_zero=True, p1=p1, w4_class=(0,)
             )
 
     def test_w4_class_reduced_in_matched_moduli(self):
@@ -266,11 +260,12 @@ class TestTangentClasses:
         assert not tb.w4_zero
         assert tb.w4_class == (1,)
 
-    def test_wide_w4_stays_unknown(self):
-        profile = undetermined_w4_profile()
+    def test_wide_w4_class_is_w2_squared(self):
+        # Wu: w4 = w2 cup w2, also where H^4(M;Z_2) has dimension 2
+        profile = wide_w4_profile()
         tb = tangent_bundle_classes(profile)
         assert not tb.w4_zero
-        assert tb.w4_class is None
+        assert tb.w4_class == (1, 0) == cup_product(profile, (1,), (1,))
         assert tb.w2_class == (1,)
 
 

@@ -121,6 +121,45 @@ class TestExitCodes:
         assert out == ""
         assert "w2 lives in H^2(M;Z2) = 0, so the spin flag must be set" in err
 
+    def test_spin_profile_with_odd_even_torsion_count_exits_two(self, capsys, tmp_path):
+        # spin with H_2 = Z/2: chi-hat = 0 but k = 1, against the spin parity law
+        data = {
+            "homology": [
+                {"free": 1}, {"free": 0}, {"free": 0, "torsion": [2]},
+                {"free": 0}, {"free": 0}, {"free": 1},
+            ],
+            "spin": True,
+            "w4_zero": True,
+        }
+        f = tmp_path / "odd-spin.json"
+        f.write_text(json.dumps(data))
+        code, out, err = run(capsys, "decide", "standard-so3", str(f))
+        assert code == 2
+        assert out == ""
+        assert "even number of even torsion coefficients in H2" in err
+        assert "Lusztig-Milnor-Peterson" in err
+
+    def test_w4_flag_against_w2_squared_exits_two(self, capsys, tmp_path):
+        # w4 claimed nonzero while the fragment gives w2 cup w2 = 0
+        data = {
+            "homology": [
+                {"free": 1}, {"free": 1, "torsion": [2]}, {"free": 0},
+                {"free": 0, "torsion": [2]}, {"free": 1}, {"free": 1},
+            ],
+            "spin": False,
+            "w4_zero": False,
+            "p1": {"free": [0], "torsion": [0]},
+            "mod2_fragment": {
+                "h2_dim": 1, "cup22": [[[0, 0]]], "psquare": [[0, 0]], "w2_class": [1],
+            },
+        }
+        f = tmp_path / "wu-violation.json"
+        f.write_text(json.dumps(data))
+        code, out, err = run(capsys, "decide", "irreducible-so3", str(f))
+        assert code == 2
+        assert out == ""
+        assert "w4 must equal w2 cup w2 (Wu formula)" in err
+
     def test_malformed_json_exits_one(self, capsys, tmp_path):
         f = tmp_path / "mal.json"
         f.write_text("{broken")

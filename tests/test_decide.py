@@ -24,8 +24,8 @@ from so3five.fgab import FgAbGroup, IntegerMatrix
 from so3five.topology import (
     ManifoldProfile,
     Mod2Fragment,
+    ProfileValidationError,
     cohomology,
-    kervaire_semicharacteristic,
     semicharacteristic,
 )
 
@@ -67,14 +67,16 @@ def unknown_branch_profile_without_fragment() -> ManifoldProfile:
 
 
 def wide_w4_profile() -> ManifoldProfile:
-    frag = Mod2Fragment(h2_dim=1, cup22=(((0, 0),),), psquare=((0, 0),), w2_class=(1,))
+    """Non-spin profile with H^4(M;Z) = Z + Z/2, so H^4(M;Z_2) is
+    2-dimensional, and w4 = w2 cup w2 = (1, 0) nonzero."""
+    frag = Mod2Fragment(h2_dim=1, cup22=(((1, 0),),), psquare=((1, 0),), w2_class=(1,))
     h4 = FgAbGroup(1, (2,))
     return ManifoldProfile(
         name="wide-w4",
         homology=(Z, FgAbGroup(1, (2,)), ZERO, FgAbGroup(0, (2,)), Z, Z),
         spin=False,
         w4_is_zero=False,
-        p1=h4.zero(),
+        p1=h4.element((3,), (0,)),
         mod2_fragment=frag,
     )
 
@@ -215,16 +217,6 @@ class TestTwoField:
         assert decide_two_field(triple).verdict == Verdict.YES
 
 
-def spin_profile_with_even_middle_torsion() -> ManifoldProfile:
-    return ManifoldProfile(
-        name="chi-k-split",
-        homology=(Z, ZERO, FgAbGroup(0, (2,)), ZERO, ZERO, Z),
-        spin=True,
-        w4_is_zero=True,
-        p1=ZERO.zero(),
-    )
-
-
 class TestStandardSo3:
     def test_theorem_tag_and_agreement(self):
         d = decide_standard_so3(catalog("s3xs2"))
@@ -243,17 +235,21 @@ class TestStandardSo3:
         cross = next(l for l in d.trace if "Cor 1.6" in l.condition)
         assert cross.satisfied and "skipped" in cross.value
 
-    def test_criteria_disagreement_is_surfaced_not_reconciled(self):
-        p = spin_profile_with_even_middle_torsion()
-        assert semicharacteristic(p) == 0
-        assert kervaire_semicharacteristic(p) == 1
-        d = decide_standard_so3(p)
-        assert d.verdict == Verdict.NO  # the Atiyah value governs
-        warning = next(l for l in d.trace if "disagree" in l.condition)
-        assert not warning.satisfied
-        assert "t_2(H_2)" in warning.value
-        cross = next(l for l in d.trace if "Cor 1.6" in l.condition)
-        assert not cross.satisfied
+    def test_spin_parity_violation_is_refused(self):
+        # a spin H_2 = Z/2 would make chi-hat and k differ, which
+        # Lusztig-Milnor-Peterson forbid, so no such profile is built
+        with pytest.raises(ProfileValidationError) as exc_info:
+            ManifoldProfile(
+                name="chi-k-split",
+                homology=(Z, ZERO, FgAbGroup(0, (2,)), ZERO, ZERO, Z),
+                spin=True,
+                w4_is_zero=True,
+                p1=ZERO.zero(),
+            )
+        assert exc_info.value.violations == [
+            "spin forces an even number of even torsion coefficients in H2 "
+            "(Lusztig-Milnor-Peterson)"
+        ]
 
 
 class TestRank3BundleExists:
@@ -308,6 +304,7 @@ class TestRank5Relation:
             circle_bundle(CircleBundleSpec(hypersurface(3), (3, -3, -3, 0, 0, 0, 0)))
         )
         profiles.append(unknown_branch_profile_with_fragment())
+        profiles.append(wide_w4_profile())
         for p in profiles:
             assert rank5_relation_holds(p, tangent_bundle_classes(p))
 
@@ -328,12 +325,15 @@ class TestRank5Relation:
         )
         assert not rank5_relation_holds(lens, wrong)
 
-    def test_unknown_w4_class_is_refused(self):
+    def test_missing_w4_class_is_refused(self):
         p = wide_w4_profile()
-        tb = tangent_bundle_classes(p)
-        assert tb.w4_class is None
-        with pytest.raises(ValueError, match="w4 class unknown"):
-            rank5_relation_holds(p, tb)
+        with pytest.raises(
+            ValueError,
+            match="w4 class must be present exactly when the base has a mod-2 fragment",
+        ):
+            Bundle5Data(
+                base=p, w2_zero=False, w4_zero=False, w5_zero=True, p1=p.p1, w2_class=(1,)
+            )
 
     def test_explicit_w4_class_resolves_wide_case(self):
         p = wide_w4_profile()
@@ -349,10 +349,11 @@ class TestRank5Relation:
                 w4_class=w4_class,
             )
 
-        # p1 = 0 and psquare = 0: including w4 into the modulus-4 slot
-        # breaks the relation, the modulus-2 slot keeps it
-        assert not rank5_relation_holds(p, bundle((1, 0)))
-        assert rank5_relation_holds(p, bundle((0, 1)))
+        # rho_4(p1) = (3, 0) and psquare(w2) = (1, 0): including w4 into
+        # the modulus-4 slot adds 2 and keeps the relation, the modulus-2
+        # slot adds nothing and breaks it
+        assert rank5_relation_holds(p, bundle((1, 0)))
+        assert not rank5_relation_holds(p, bundle((0, 1)))
 
     def test_profile_mismatch_refused(self):
         lens = lens_bundle(4)

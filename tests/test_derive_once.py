@@ -69,6 +69,15 @@ small_groups = st.builds(
 
 
 @st.composite
+def circle_bundles(draw):
+    base = hypersurface(draw(st.integers(1, 3)))
+    euler = draw(st.lists(st.integers(-4, 4), min_size=base.b2, max_size=base.b2))
+    if not any(euler):
+        euler[0] = 1
+    return circle_bundle(CircleBundleSpec(base, tuple(euler)))
+
+
+@st.composite
 def profiles(draw):
     kind = draw(st.sampled_from(["criterion4", "catalog", "sum", "product", "bundle"]))
     if kind == "criterion4":
@@ -84,11 +93,7 @@ def profiles(draw):
     if kind == "product":
         h1 = draw(small_groups)
         return product_3x2((Z, h1, FgAbGroup(h1.free_rank), Z), draw(st.integers(0, 2)))
-    base = hypersurface(draw(st.integers(1, 3)))
-    euler = draw(st.lists(st.integers(-4, 4), min_size=base.b2, max_size=base.b2))
-    if not any(euler):
-        euler[0] = 1
-    return circle_bundle(CircleBundleSpec(base, tuple(euler)))
+    return draw(circle_bundles())
 
 
 QUERIES = [(k, ring) for ring in CoefficientRing for k in range(6)]

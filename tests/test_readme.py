@@ -5,6 +5,8 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from so3five.cli import main, parse_recipe
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -68,3 +70,20 @@ def test_recipe_example_parses():
     recipe = json.loads(fenced_blocks(section("Command line"), "json")[0])
     profile = parse_recipe(recipe)
     assert profile.name.startswith("S1-bundle")
+
+
+def test_recipe_paragraph_names_only_constructions_the_cli_parses():
+    text = section("Command line")
+    paragraph = text[text.index("Recipes compose:"):].split("\n\n", 1)[0]
+    fields = set()
+    for group in re.findall(r"fields?\s((?:`\w+`(?:,\s)?)+)", paragraph):
+        fields.update(re.findall(r"`(\w+)`", group))
+    kinds = set(re.findall(r"`(\w+)`", paragraph)) - fields
+    assert kinds == {"catalog", "connected_sum", "product_3x2", "circle_bundle", "hypersurface"}
+    for kind in kinds:
+        # a recipe kind the CLI knows fails only on its missing fields
+        expected = "unknown construction" if re.search(
+            rf"`{kind}`[^.]*base only", paragraph
+        ) else "missing field"
+        with pytest.raises(ValueError, match=expected):
+            parse_recipe({"construction": kind})
