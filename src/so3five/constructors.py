@@ -9,10 +9,11 @@ search for Euler classes with prescribed orthogonality and torsion
 completes the circle-bundle pipeline.
 
 Every constructor returns a profile that passes topology.validate(),
-which ManifoldProfile runs when it is built; internal cross-checks
-(signature theorem, content invariance under the unimodular
-intersection form, the dual cokernel computation of the torsion) are
-asserted on every call.
+which ManifoldProfile runs when it is built.  Nothing is re-checked per
+call: FourManifoldProfile's refusals (b2 x b2, |det Q| = 1, signature,
+p1 = 3 * signature) settle the hypersurface arithmetic; Q is invertible
+over Z, so a circle bundle's torsion content(Q c) is content(c), the
+cokernel of a nonzero column (the Smith form that fgab's tests pin).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from operator import index
 from .fgab import (
     FgAbGroup,
     IntegerMatrix,
-    cokernel,
     direct_sum_elements,
     mod_p_dimension,
     tensor_reduction_moduli,
@@ -225,12 +225,13 @@ def hypersurface(d: int) -> FourManifoldProfile:
 
     b2 = (6 - 4d + d^2) d - 2, Euler characteristic b2 + 2, first
     Pontryagin number (4 - d^2) d, signature a third of that (always an
-    integer: d(2-d)(2+d) contains three consecutive factors), spin iff
-    d is even.  The intersection form is realized explicitly: odd d
-    gives the odd indefinite diagonal form, even d a direct sum of
-    hyperbolic planes and negative E8 blocks.  For d = 3 the basis is
-    the standard one of the projective plane with six reversed blowups,
-    in which the hyperplane class restricts to (3, -1, ..., -1).
+    integer: d - 2, d and d + 2 cover every residue mod 3, so 3 divides
+    one factor of d(2-d)(2+d)), spin iff d is even.  The intersection
+    form is realized explicitly: odd d gives the odd indefinite diagonal
+    form, even d a direct sum of hyperbolic planes and negative E8
+    blocks.  For d = 3 the basis is the standard one of the projective
+    plane with six reversed blowups, in which the hyperplane class
+    restricts to (3, -1, ..., -1).
     """
     if d < 1:
         raise ValueError("hypersurface degree must be a positive integer")
@@ -241,19 +242,15 @@ def hypersurface(d: int) -> FourManifoldProfile:
         raise ValueError(f"hypersurface degree {d} is too large: the supported range is 1..12")
     b2 = (6 - 4 * d + d * d) * d - 2
     p1_eval = (4 - d * d) * d
-    assert p1_eval % 3 == 0
     signature = p1_eval // 3
     if d % 2:
         pos = (b2 + signature) // 2
         neg = b2 - pos
-        assert pos >= 0 and neg >= 0 and pos - neg == signature
         q = IntegerMatrix.diagonal([1] * pos + [-1] * neg)
         w2 = (1,) * b2
     else:
-        e8_count, rem = divmod(-signature, 8)
-        assert rem == 0 and e8_count >= 0
-        hyp_count, rem = divmod(b2 - 8 * e8_count, 2)
-        assert rem == 0 and hyp_count >= 1
+        e8_count = -signature // 8
+        hyp_count = (b2 - 8 * e8_count) // 2
         neg_e8 = tuple(tuple(-x for x in row) for row in _E8)
         q = _block_diagonal([_HYPERBOLIC] * hyp_count + [neg_e8] * e8_count)
         w2 = (0,) * b2
@@ -422,14 +419,7 @@ def circle_bundle(spec: CircleBundleSpec) -> ManifoldProfile:
     b2 = base.b2
     phi = base.Q.apply(c)
     g = vector_content(phi)
-    # the unimodular form preserves content, and the cokernel of cup-c
-    # must agree with the cokernel of the evaluation functional
-    assert g == vector_content(c)
     tors = (g,) if g > 1 else ()
-    assert cokernel(IntegerMatrix.from_rows([[x] for x in phi])) == FgAbGroup(
-        b2 - 1, tors
-    )
-
     homology = (
         _Z,
         FgAbGroup(0, tors),

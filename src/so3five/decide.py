@@ -22,9 +22,9 @@ from .topology import (
     ManifoldProfile,
     homology_mod2_dimension,
     kervaire_semicharacteristic,
-    mod4_class_moduli,
     pontryagin_square,
     semicharacteristic,
+    wu_p1_mod4,
 )
 
 
@@ -264,9 +264,5 @@ def rank5_relation_holds(profile: ManifoldProfile, bundle: Bundle5Data) -> bool:
     if bundle.base != profile:
         raise ValueError("bundle data belongs to a different profile")
     # the record carries w2 and w4 classes exactly when its base has a
-    # fragment, so pontryagin_square refuses a profile without one
-    square = pontryagin_square(profile, bundle.w2_class)
-    # i(w4) doubles componentwise, as in pontryagin_square
-    moduli = mod4_class_moduli(profile)
-    rhs = tuple((s + 2 * a) % m for s, a, m in zip(square, bundle.w4_class, moduli))
-    return tensor_reduction(bundle.p1, 4) == rhs
+    # fragment, so wu_p1_mod4 refuses a profile without one
+    return tensor_reduction(bundle.p1, 4) == wu_p1_mod4(profile, bundle.w2_class, bundle.w4_class)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
 
-from .fgab import FgAbGroup, GroupElement, tensor_reduction_moduli
+from .fgab import FgAbGroup, GroupElement, tensor_reduction, tensor_reduction_moduli
 
 
 __all__ = [
@@ -309,6 +309,13 @@ def pontryagin_square(profile: ManifoldProfile, x: tuple[int, ...]) -> tuple[int
     return _vec_sum(terms, mod4_class_moduli(profile))
 
 
+def wu_p1_mod4(profile: ManifoldProfile, w2: tuple[int, ...], w4: tuple[int, ...]) -> tuple[int, ...]:
+    """psquare(w2) + i(w4) in H^4(M; Z_4): rho_4(p1) of every oriented bundle
+    with these classes, by Wu's formula.  i doubles the reduced w4 componentwise."""
+    square = pontryagin_square(profile, w2)
+    return tuple((s + 2 * a) % m for s, a, m in zip(square, w4, mod4_class_moduli(profile)))
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -316,7 +323,6 @@ def pontryagin_square(profile: ManifoldProfile, x: tuple[int, ...]) -> tuple[int
 
 def _validate_fragment(profile: ManifoldProfile, out: list[str]) -> None:
     frag = profile.mod2_fragment
-    assert frag is not None
     n = frag.h2_dim
     if n < 0:
         out.append("mod-2 fragment dimension must be nonnegative")
@@ -358,8 +364,11 @@ def _validate_fragment(profile: ManifoldProfile, out: list[str]) -> None:
             break
     if profile.spin == any(frag.w2_class):
         out.append("fragment w2 class must vanish exactly when the profile is spin")
-    if profile.w4_is_zero == any(cup_product(profile, frag.w2_class, frag.w2_class)):
+    w2_squared = cup_product(profile, frag.w2_class, frag.w2_class)
+    if profile.w4_is_zero == any(w2_squared):
         out.append("w4 must equal w2 cup w2 (Wu formula)")
+    if tensor_reduction(profile.p1, 4) != wu_p1_mod4(profile, frag.w2_class, w2_squared):
+        out.append("p1 mod 4 must equal psquare(w2) + i(w4) (Wu's Pontryagin-square formula)")
 
 
 def validate(profile: ManifoldProfile) -> list[str]:
@@ -377,7 +386,11 @@ def validate(profile: ManifoldProfile) -> list[str]:
     v = 1 + v_2 (v_i = 0 for 2i > 5, and v_1 = w_1 = 0), so w = Sq(v)
     gives w_2 = v_2 and w_4 = Sq^2 v_2 = w_2^2 (Milnor-Stasheff, Section
     11).  So spin forces w4 = 0, and with a fragment the w4 flag must
-    say whether w2 cup w2 vanishes.
+    say whether w2 cup w2 vanishes.  Wu's Pontryagin-square formula
+    gives rho_4(p1) = P(w2) + i(w4) in H^4(M;Z4) for every oriented
+    bundle (E. Thomas, Trans. AMS 96, 1960); for the tangent bundle
+    i(w4) = i(rho_2 P(w2)) = 2 P(w2), so the law reads
+    rho_4(p1) = -P(w2), and a fragment's tables give P(w2).
 
     Spin parity law: universal coefficients give dim H_i(M;Z2) =
     b_i + t_2(H_i) + t_2(H_{i-1}), t_2 counting even torsion

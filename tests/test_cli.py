@@ -160,6 +160,66 @@ class TestExitCodes:
         assert out == ""
         assert "w4 must equal w2 cup w2 (Wu formula)" in err
 
+    def test_p1_against_wus_pontryagin_square_formula_exits_two(self, capsys, tmp_path):
+        # wide_w4_profile with p1 = 0: rho_4(p1) = (0, 0), but -P(w2) = (3, 0)
+        data = {
+            "homology": [
+                {"free": 1}, {"free": 1, "torsion": [2]}, {"free": 0},
+                {"free": 0, "torsion": [2]}, {"free": 1}, {"free": 1},
+            ],
+            "spin": False,
+            "w4_zero": False,
+            "p1": {"free": [0], "torsion": [0]},
+            "mod2_fragment": {
+                "h2_dim": 1, "cup22": [[[1, 0]]], "psquare": [[1, 0]], "w2_class": [1],
+            },
+        }
+        f = tmp_path / "p1-violation.json"
+        f.write_text(json.dumps(data))
+        code, out, err = run(capsys, "decide", "irreducible-so3", str(f))
+        assert code == 2
+        assert out == ""
+        assert (
+            "p1 mod 4 must equal psquare(w2) + i(w4) (Wu's Pontryagin-square formula)" in err
+        )
+        data["p1"]["free"] = [3]
+        f.write_text(json.dumps(data))
+        assert run(capsys, "decide", "irreducible-so3", str(f))[0] == 0
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("h2_dim", -1, "mod-2 fragment dimension must be nonnegative"),
+            ("psquare", [], "Pontryagin square table must cover the fragment basis"),
+            ("cup22", [[[1]]], "cup product value must be a 0/1 vector of length 0"),
+        ],
+    )
+    def test_malformed_fragment_exits_two(self, capsys, tmp_path, field, value, message):
+        data = profile_to_dict(catalog("wu"))
+        data["mod2_fragment"][field] = value
+        f = tmp_path / "bad-fragment.json"
+        f.write_text(json.dumps(data))
+        code, out, err = run(capsys, "invariants", str(f))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_circle_bundle_over_a_catalog_base_exits_one(self, capsys, tmp_path):
+        recipe = {
+            "construction": "circle_bundle",
+            "base": {"construction": "catalog", "name": "s5"},
+            "euler_class": [1],
+        }
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(recipe))
+        code, out, err = run(capsys, "invariants", str(f))
+        assert code == 1
+        assert out == ""
+        assert (
+            'error: circle_bundle base must be {"construction": "hypersurface", "degree": d}'
+            in err
+        )
+
     def test_malformed_json_exits_one(self, capsys, tmp_path):
         f = tmp_path / "mal.json"
         f.write_text("{broken")

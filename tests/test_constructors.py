@@ -124,6 +124,26 @@ class TestHypersurface:
             FourManifoldProfile(
                 b2=1, Q=one, w2_vector=(0,), euler_char=3, p1_eval=3, signature=1
             )
+        with pytest.raises(ValueError, match="b2 must be nonnegative"):
+            FourManifoldProfile(
+                b2=-1, Q=one, w2_vector=(), euler_char=1, p1_eval=0, signature=0
+            )
+        with pytest.raises(ValueError, match="must be b2 x b2"):
+            FourManifoldProfile(
+                b2=2, Q=one, w2_vector=(1, 1), euler_char=4, p1_eval=3, signature=1
+            )
+        with pytest.raises(ValueError, match="signature does not match"):
+            FourManifoldProfile(
+                b2=1, Q=one, w2_vector=(1,), euler_char=3, p1_eval=-3, signature=-1
+            )
+        with pytest.raises(ValueError, match="Euler characteristic must be b2 \\+ 2"):
+            FourManifoldProfile(
+                b2=1, Q=one, w2_vector=(1,), euler_char=2, p1_eval=3, signature=1
+            )
+        with pytest.raises(ValueError, match="0/1 vector of length b2"):
+            FourManifoldProfile(
+                b2=1, Q=one, w2_vector=(1, 1), euler_char=3, p1_eval=3, signature=1
+            )
         # floats are refused, not truncated to the CP^2 record
         with pytest.raises(TypeError):
             FourManifoldProfile(
