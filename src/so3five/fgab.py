@@ -22,6 +22,7 @@ so structural equality is the only equality we ever need.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import count, product as _cartesian
 from math import gcd
@@ -361,14 +362,22 @@ class FgAbGroup:
         The invariant-factor form does not depend on the order of the
         summands, so the other orders d_i are sorted first; when each
         then divides the next they already form the chain and are
-        returned at once, in linear time after the sort.  Otherwise they
-        are smoothed into a divisibility chain by one pass that, for
-        i < j with d_i not dividing d_j, replaces (d_i, d_j) by
-        (gcd, lcm), keeping the isomorphism type.  Once row i is done,
-        d_i divides every later entry, and later rows keep it so: the
-        gcd and lcm of two multiples of d_i are again multiples of d_i.
-        One pass thus leaves an ascending chain, with any 1s from
-        coprime pairs in front.
+        returned at once, in linear time after the sort.  Otherwise the
+        distinct orders are refined by gcd splitting, with no factoring,
+        into a base B of pairwise coprime integers > 1: a base element b
+        sharing g = gcd(x, b) > 1 with a pending x is replaced by g and
+        b/g, and x by g and x/g, all pending again.  Every order stays a
+        product of powers of base and pending elements, and a split
+        divides their product by g, so the refinement ends.  Then each
+        d_i is prod_{p in B} p^(e_p(d_i)), where e_p(d_i) is how often p
+        divides d_i (the other factors are coprime to p), and Z/d_i is
+        the sum of the Z/p^(e_p(d_i)) by the Chinese remainder theorem.
+        Sort each p's exponents over all i, with multiplicity, in
+        descending order, and let D_k be the product over p of p to its
+        k-th exponent.  By the same theorem the Z/D_k sum to the same
+        group, and D_(k+1) divides D_k as each p's exponents descend, so
+        the D_k, read upwards, are the chain.  Past the sort, the cost is
+        linear in the number of orders and quadratic in the distinct ones.
 
         >>> FgAbGroup.from_cyclic_orders(0, [6, 4])
         FgAbGroup(free_rank=0, torsion=(2, 12))
@@ -378,12 +387,38 @@ class FgAbGroup:
         ds = sorted(d for d in ds if d >= 2)
         if not any(map(mod, ds[1:], ds)):
             return cls(free, tuple(ds))
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                if ds[j] % ds[i]:
-                    g = gcd(ds[i], ds[j])
-                    ds[i], ds[j] = g, ds[i] * ds[j] // g
-        return cls(free, tuple(d for d in ds if d >= 2))
+        counts = Counter(ds)
+        base: list[int] = []
+        product = 1  # of the base, so that an x coprime to it joins without a scan
+        for d in counts:
+            todo = [d]
+            while todo:
+                x = todo.pop()
+                if gcd(x, product) == 1:
+                    base.append(x)
+                    product *= x
+                    continue
+                k = len(base) - 1  # newest first: a split appends the shared part last
+                while gcd(x, base[k]) == 1:
+                    k -= 1
+                b = base.pop(k)
+                product //= b
+                g = gcd(x, b)
+                todo += [y for y in (g, b // g, x // g) if y > 1]
+        chain: list[int] = []
+        for p in base:
+            exponents = []
+            for d, m in counts.items():
+                if not d % p:
+                    e, d = 1, d // p
+                    while not d % p:
+                        e, d = e + 1, d // p
+                    exponents += [e] * m
+            exponents.sort(reverse=True)
+            chain += [1] * (len(exponents) - len(chain))
+            for k, e in enumerate(exponents):
+                chain[k] *= p**e
+        return cls(free, tuple(reversed(chain)))
 
     @classmethod
     def trivial(cls) -> "FgAbGroup":

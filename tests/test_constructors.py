@@ -1,5 +1,6 @@
 """Geometric constructors: hypersurfaces, catalog, sums, products, circle bundles."""
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import product as cartesian
@@ -12,6 +13,7 @@ from so3five.constructors import (
     _E8,
     CircleBundleSpec,
     FourManifoldProfile,
+    _block_diagonal,
     _determinant_and_signature,
     catalog,
     catalog_names,
@@ -98,6 +100,22 @@ class TestHypersurface:
         assert all((image[i] - h.Q.entries[i][i]) % 2 == 0 for i in range(h.b2))
         with pytest.raises(ValueError, match="supported range is 1..12"):
             hypersurface(13)
+
+    @pytest.mark.parametrize("i, j", [(0, -1), (-1, 0)])
+    def test_one_sided_asymmetry_far_from_the_diagonal_is_refused(self, i, j):
+        # q[i][j] = 1 and q[j][i] = 0: only one side's row support lists the pair
+        h = hypersurface(7)
+        rows = [list(row) for row in h.Q.entries]
+        rows[i][j] = 1
+        assert rows[j][i] == 0
+        with pytest.raises(ValueError, match="must be symmetric"):
+            replace(h, Q=IntegerMatrix.from_rows(rows))
+
+    def test_non_characteristic_w2_on_a_large_block_form_is_refused(self):
+        # e_0 lies in the first hyperbolic plane: Q(e_0, e_1) = 1 but Q(e_1, e_1) = 0
+        h = hypersurface(8)
+        with pytest.raises(ValueError, match="w2 vector must be characteristic for Q"):
+            replace(h, w2_vector=(1,) + (0,) * (h.b2 - 1))
 
     def test_degree_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -243,6 +261,18 @@ class TestBlockwiseFormCheck:
         perm = list(range(n))
         rng.shuffle(perm)
         q = IntegerMatrix.from_rows([[dense[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+        assert _determinant_and_signature(q) == _whole_matrix_determinant_and_signature(q)
+
+    def test_equal_blocks_are_reused_by_entries_not_by_size(self):
+        # minus affine A7 (a cycle of 1s around a diagonal of -2s) is
+        # connected, 8 x 8 like -E8, and singular: it kills (1, ..., 1)
+        neg_a7 = tuple(
+            tuple(-2 if i == j else 1 if (i - j) % 8 in (1, 7) else 0 for j in range(8))
+            for i in range(8)
+        )
+        neg_e8 = tuple(tuple(-x for x in row) for row in _E8)
+        q = _block_diagonal([neg_e8] * 6 + [neg_a7] + [neg_e8] * 6)
+        assert _determinant_and_signature(q) == (0, -12 * 8 - 7)
         assert _determinant_and_signature(q) == _whole_matrix_determinant_and_signature(q)
 
     def test_asymmetric_form_rejected(self):

@@ -319,6 +319,11 @@ class TestFgAbGroup:
         assert FgAbGroup.from_cyclic_orders(1, [0, 1, 5]) == FgAbGroup(2, (5,))
         assert FgAbGroup.from_cyclic_orders(0, []) == FgAbGroup.trivial()
 
+    def test_from_cyclic_orders_many_repeated_orders(self):
+        # (Z/2)^20000 + (Z/3)^20000 = (Z/6)^20000: 40000 orders, two distinct
+        orders = [2, 3] * 20000
+        assert FgAbGroup.from_cyclic_orders(1, orders) == FgAbGroup(1, (6,) * 20000)
+
     @settings(max_examples=400, deadline=None)
     @given(
         st.integers(0, 3),
