@@ -18,10 +18,11 @@ cokernel of a nonzero column (the Smith form that fgab's tests pin).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product as _cartesian
-from operator import index
+from operator import index, mul
 
 from .fgab import (
     FgAbGroup,
@@ -56,30 +57,61 @@ __all__ = [
 def _determinant_and_signature(q: IntegerMatrix) -> tuple[int, int]:
     """Determinant and signature of a symmetric integer matrix, exactly.
 
-    One pass finds the row supports supp(i) = {j : q[i][j] != 0}.  q is
-    symmetric iff q[j][i] = q[i][j] for all j in supp(i): an asymmetric
-    pair has a nonzero side, whose row lists the pair.  q vanishes between
-    components of the graph i -- supp(i), so listing them one after
-    another is a permutation P with P^T q P the direct sum of their
-    principal blocks: det(q) = det(P^T q P) is the product of the block
-    determinants, and signature, a congruence invariant, their sum.  A
-    block's (det, sig) is a function of its entries, so a block equal to
-    one met earlier in the call reuses that pair exactly.  Past the support
-    pass, each nonzero entry is read a bounded number of times and each
-    distinct block (two in a hypersurface form) diagonalized once.
+    q splits into blocks: index sets, each with its principal block, such
+    that q vanishes between any two of them.  Listing the sets one after
+    another is a permutation P with P^T q P the direct sum of the blocks,
+    so det(q) = det(P^T q P) is the product of the block determinants and
+    signature, a congruence invariant, their sum; q is symmetric iff every
+    block is.  A block's (det, sig) is a function of its entries, so a
+    block equal to one met earlier in the call reuses that pair exactly,
+    and each distinct block (two in a hypersurface form) is checked and
+    diagonalized once.
+
+    A matrix built by IntegerMatrix.block_diagonal carries the blocks it
+    was built from, in index order, and they are sound here: the builder
+    writes zeros everywhere off them, so q vanishes between any two, each
+    is a union of the components of the support graph below, and the
+    product and sum above hold over them as over the components.  No
+    entry outside a block is read.  Any other matrix is split by one pass
+    that finds the row supports supp(i) = {j : q[i][j] != 0}; its blocks
+    are the components of the graph i -- supp(i).  Such a q is symmetric
+    iff q[j][i] = q[i][j] for all j in supp(i): an asymmetric pair has a
+    nonzero side, whose row lists the pair.
     """
     return _form_invariants(q)[:2]
 
 
-def _form_invariants(q: IntegerMatrix) -> tuple[int, int, list[tuple[int, ...]]]:
-    """_determinant_and_signature's pair, then the row supports it found."""
+def _form_invariants(
+    q: IntegerMatrix,
+) -> tuple[int, int, Sequence[int], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """_determinant_and_signature's pair, then the blocks it used: q's
+    indices in block order, and the blocks' entries in that order."""
+    if q._blocks is None:
+        order, blocks = _components(q)
+    else:
+        order, blocks = range(q.rows), q._blocks
+    known: dict[tuple, tuple[int, int]] = {}  # block entries -> (det, sig), for this call only
+    determinant, signature = 1, 0
+    for block in blocks:
+        if block not in known:
+            if block != tuple(zip(*block)):
+                raise ValueError("intersection form must be symmetric")
+            known[block] = _block_determinant_and_signature(block)
+        determinant *= known[block][0]
+        signature += known[block][1]
+    return determinant, signature, order, blocks
+
+
+def _components(q: IntegerMatrix) -> tuple[list[int], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """q's indices listed component by component, for the components of
+    its support graph, and their principal blocks; refuses a q that is
+    not symmetric."""
     e, n = q.entries, q.rows
     support = [tuple(compress(range(n), row)) for row in e]
     if q.cols != n or any(e[j][i] != e[i][j] for i in range(n) for j in support[i]):
         raise ValueError("intersection form must be symmetric")
     seen = [False] * n
-    known: dict[tuple, tuple[int, int]] = {}  # block entries -> (det, sig), for this call only
-    determinant, signature = 1, 0
+    order, blocks = [], []
     for start in range(n):
         if seen[start]:
             continue
@@ -90,12 +122,9 @@ def _form_invariants(q: IntegerMatrix) -> tuple[int, int, list[tuple[int, ...]]]
                 if not seen[j]:
                     seen[j] = True
                     component.append(j)
-        block = tuple(tuple(e[i][j] for j in component) for i in component)
-        if block not in known:
-            known[block] = _block_determinant_and_signature(block)
-        determinant *= known[block][0]
-        signature += known[block][1]
-    return determinant, signature, support
+        blocks.append(tuple(tuple(e[i][j] for j in component) for i in component))
+        order += component
+    return order, tuple(blocks)
 
 
 def _block_determinant_and_signature(rows: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
@@ -164,7 +193,7 @@ class FourManifoldProfile:
             raise ValueError("b2 must be nonnegative")
         if self.Q.rows != self.b2 or self.Q.cols != self.b2:
             raise ValueError("intersection form must be b2 x b2")
-        determinant, signature, support = _form_invariants(self.Q)
+        determinant, signature, order, blocks = _form_invariants(self.Q)
         if abs(determinant) != 1:
             raise ValueError("intersection form must be unimodular")
         if self.signature != signature:
@@ -177,9 +206,14 @@ class FourManifoldProfile:
         object.__setattr__(self, "w2_vector", w)
         if len(w) != self.b2 or any(b not in (0, 1) for b in w):
             raise ValueError("w2 vector must be a 0/1 vector of length b2")
-        q = self.Q.entries  # characteristic: Q(w2, e_i) = Q(e_i, e_i) mod 2 for each i
-        if any((sum(q[i][j] * w[j] for j in s) - q[i][i]) % 2 for i, s in enumerate(support)):
-            raise ValueError("w2 vector must be characteristic for Q")
+        # characteristic: Q(w2, e_i) = Q(e_i, e_i) mod 2 for each i, and Q
+        # vanishes off its blocks, so a block's rows meet only its part of w2
+        ordered, start = [w[i] for i in order], 0
+        for block in blocks:
+            part = ordered[start : start + len(block)]
+            start += len(block)
+            if any((sum(map(mul, row, part)) - row[r]) % 2 for r, row in enumerate(block)):
+                raise ValueError("w2 vector must be characteristic for Q")
 
     @property
     def spin(self) -> bool:
@@ -198,15 +232,6 @@ _E8 = (
 )
 
 _HYPERBOLIC = ((0, 1), (1, 0))
-
-
-def _block_diagonal(blocks: list[tuple[tuple[int, ...], ...]]) -> IntegerMatrix:
-    size = sum(len(b) for b in blocks)
-    rows = []
-    for block in blocks:
-        left, right = (0,) * len(rows), (0,) * (size - len(rows) - len(block))
-        rows.extend(left + row + right for row in block)
-    return IntegerMatrix(size, size, tuple(rows))
 
 
 # Coordinates of the restricted hyperplane class in the explicit bases
@@ -233,11 +258,14 @@ def hypersurface(d: int) -> FourManifoldProfile:
     plane with six reversed blowups, in which the hyperplane class
     restricts to (3, -1, ..., -1).
     """
+    d = index(d)
     if d < 1:
         raise ValueError("hypersurface degree must be a positive integer")
     # The dense form has b2 ~ d^3 rows.  d = 12 (b2 = 1222), the largest
-    # degree ever timed, takes 0.1 s and 27 MB on a shared 2-vCPU host,
-    # nearly all of it in building the 1.5 million entries and one scan.
+    # degree ever timed, takes 0.05 s and 27 MB peak RSS in a fresh process
+    # on a shared 2-vCPU host, nearly all of it in writing the 1.5 million
+    # entries and checking that they are integers; the form check reads
+    # only the recorded blocks.
     if d > 12:
         raise ValueError(f"hypersurface degree {d} is too large: the supported range is 1..12")
     b2 = (6 - 4 * d + d * d) * d - 2
@@ -252,7 +280,7 @@ def hypersurface(d: int) -> FourManifoldProfile:
         e8_count = -signature // 8
         hyp_count = (b2 - 8 * e8_count) // 2
         neg_e8 = tuple(tuple(-x for x in row) for row in _E8)
-        q = _block_diagonal([_HYPERBOLIC] * hyp_count + [neg_e8] * e8_count)
+        q = IntegerMatrix.block_diagonal([_HYPERBOLIC] * hyp_count + [neg_e8] * e8_count)
         w2 = (0,) * b2
     return FourManifoldProfile(
         b2=b2,

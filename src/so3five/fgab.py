@@ -23,8 +23,8 @@ so structural equality is the only equality we ever need.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import count, product as _cartesian
+from dataclasses import dataclass, field
+from itertools import chain, count, product as _cartesian
 from math import gcd
 from operator import index, mod, mul
 
@@ -58,11 +58,20 @@ class IntegerMatrix:
 
     The class is immutable; all operations return new matrices.  It is
     deliberately small: just what integer homological algebra needs.
+    The private ``_blocks`` holds the square blocks a matrix built by
+    :meth:`block_diagonal` has down its diagonal, with zeros everywhere
+    else; it is a record of how the entries were made, not part of the
+    value, so it takes no part in equality, hashing or repr, and every
+    other construction (``from_rows``, the plain constructor,
+    ``dataclasses.replace``) leaves it None.
     """
 
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
+    _blocks: tuple[tuple[tuple[int, ...], ...], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
@@ -99,11 +108,33 @@ class IntegerMatrix:
 
     @staticmethod
     def diagonal(values: object) -> "IntegerMatrix":
-        vals = tuple(values)
-        n = len(vals)
-        return IntegerMatrix(
-            n, n, tuple((0,) * i + (v,) + (0,) * (n - 1 - i) for i, v in enumerate(vals))
-        )
+        return IntegerMatrix.block_diagonal(((v,),) for v in values)
+
+    @staticmethod
+    def block_diagonal(blocks: object) -> "IntegerMatrix":
+        """The square blocks, in order, down the diagonal of a matrix that is
+        zero everywhere else, with the blocks kept in ``_blocks``.  A block
+        whose k rows do not each hold k entries is refused before anything
+        is built."""
+        kept = [tuple(map(tuple, block)) for block in blocks]
+        if any(len(row) != len(block) for block in kept for row in block):
+            raise ValueError("a diagonal block must be square: k rows of k entries")
+        # as in the constructor, only entries that do not sum to an int pay
+        # for operator.index, so the kept blocks hold the matrix's entries
+        if type(sum(chain.from_iterable(chain.from_iterable(kept)))) is not int:
+            kept = [tuple(tuple(map(index, row)) for row in block) for block in kept]
+        n = sum(map(len, kept))
+        line, rows, start = [0] * n, [], 0
+        for block in kept:  # each row is copied out of one reused line
+            end = start + len(block)
+            for row in block:
+                line[start:end] = row
+                rows.append(tuple(line))
+            line[start:end] = (0,) * len(block)
+            start = end
+        matrix = IntegerMatrix(n, n, tuple(rows))
+        object.__setattr__(matrix, "_blocks", tuple(kept))
+        return matrix
 
     def multiply(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:

@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import product as cartesian
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from so3five.constructors import (
     _E8,
     CircleBundleSpec,
     FourManifoldProfile,
-    _block_diagonal,
     _determinant_and_signature,
     catalog,
     catalog_names,
@@ -116,6 +116,16 @@ class TestHypersurface:
         h = hypersurface(8)
         with pytest.raises(ValueError, match="w2 vector must be characteristic for Q"):
             replace(h, w2_vector=(1,) + (0,) * (h.b2 - 1))
+
+    def test_degree_is_read_as_an_integer(self):
+        int64 = pytest.importorskip("numpy").int64
+        h = hypersurface(int64(3))
+        assert type(h.b2) is int and h == hypersurface(3)
+
+    @pytest.mark.parametrize("d", [2.0, "3"], ids=["float", "str"])
+    def test_non_integer_degree_refused(self, d):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            hypersurface(d)
 
     def test_degree_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -245,6 +255,28 @@ _BLOCKS = st.one_of(
 )
 
 
+# square, with entries drawn independently: usually not symmetric
+_square_block = st.integers(1, 3).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k)
+)
+
+# the 3 x 3 block is a hyperbolic plane on indices {0, 2} and (1) on {1},
+# so a scan lists its indices out of order
+_UNIMODULAR_BLOCKS = st.sampled_from(
+    [((1,),), ((-1,),), ((0, 1), (1, 0)), ((2, 1), (1, 1)), ((1, 2), (2, 3)),
+     ((0, 0, 1), (0, 1, 0), (1, 0, 0)), tuple(tuple(-x for x in row) for row in _E8), _E8]
+)
+
+
+def _characteristic(block):
+    """The characteristic vector of a unimodular block, by brute force."""
+    return next(
+        w
+        for w in cartesian((0, 1), repeat=len(block))
+        if all((sum(map(mul, row, w)) - row[i]) % 2 == 0 for i, row in enumerate(block))
+    )
+
+
 class TestBlockwiseFormCheck:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_BLOCKS, min_size=0, max_size=6), st.randoms(use_true_random=False))
@@ -271,14 +303,69 @@ class TestBlockwiseFormCheck:
             for i in range(8)
         )
         neg_e8 = tuple(tuple(-x for x in row) for row in _E8)
-        q = _block_diagonal([neg_e8] * 6 + [neg_a7] + [neg_e8] * 6)
-        assert _determinant_and_signature(q) == (0, -12 * 8 - 7)
-        assert _determinant_and_signature(q) == _whole_matrix_determinant_and_signature(q)
+        recorded = IntegerMatrix.block_diagonal([neg_e8] * 6 + [neg_a7] + [neg_e8] * 6)
+        scanned = IntegerMatrix.from_rows(recorded.entries)
+        for q in (recorded, scanned):
+            assert _determinant_and_signature(q) == (0, -12 * 8 - 7)
+        oracle = _whole_matrix_determinant_and_signature(scanned)
+        assert _determinant_and_signature(scanned) == oracle
 
     def test_asymmetric_form_rejected(self):
         q = IntegerMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 2, 0]])
         with pytest.raises(ValueError, match="must be symmetric"):
             _determinant_and_signature(q)
+
+    def test_asymmetric_recorded_block_rejected(self):
+        # the same entries as above, with the blocks recorded; the block
+        # after the first is checked although the first is symmetric
+        q = IntegerMatrix.block_diagonal([[[1]], [[0, 1], [2, 0]]])
+        with pytest.raises(ValueError, match="must be symmetric"):
+            _determinant_and_signature(q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_BLOCKS, _square_block), min_size=0, max_size=6))
+    def test_recorded_blocks_agree_with_the_scan(self, blocks):
+        # the same entries, once with the blocks recorded and once without
+        recorded = IntegerMatrix.block_diagonal(blocks)
+        scanned = IntegerMatrix.from_rows(recorded.entries)
+        assert recorded._blocks is not None and scanned._blocks is None
+        assert recorded == scanned and hash(recorded) == hash(scanned)
+        outcomes = []
+        for q in (recorded, scanned):
+            try:
+                outcomes.append(_determinant_and_signature(q))
+            except ValueError as err:
+                assert "must be symmetric" in str(err)
+                outcomes.append("asymmetric")
+        assert outcomes[0] == outcomes[1]
+        symmetric = all(tuple(zip(*b)) == tuple(map(tuple, b)) for b in blocks)
+        assert (outcomes[0] != "asymmetric") == symmetric
+        if symmetric:
+            assert outcomes[0] == _whole_matrix_determinant_and_signature(scanned)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_UNIMODULAR_BLOCKS, min_size=1, max_size=5), st.data())
+    def test_characteristic_check_agrees_with_the_dense_one(self, blocks, data):
+        # the characteristic vector, with a few coordinates flipped
+        recorded = IntegerMatrix.block_diagonal(blocks)
+        n = recorded.rows
+        w2 = [x for block in blocks for x in _characteristic(block)]
+        for i in data.draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            w2[i] ^= 1
+        w2 = tuple(w2)
+        q = recorded.entries
+        image = recorded.apply(w2)
+        characteristic = all((image[i] - q[i][i]) % 2 == 0 for i in range(n))
+        signature = _whole_matrix_determinant_and_signature(recorded)[1]
+        for form in (recorded, IntegerMatrix.from_rows(q)):
+            record = dict(
+                b2=n, Q=form, w2_vector=w2, euler_char=n + 2, p1_eval=3 * signature, signature=signature
+            )
+            if characteristic:
+                assert FourManifoldProfile(**record).w2_vector == w2
+            else:
+                with pytest.raises(ValueError, match="w2 vector must be characteristic"):
+                    FourManifoldProfile(**record)
 
 
 class TestCatalog:

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 from operator import mul
@@ -185,6 +186,45 @@ class TestIntegerMatrix:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             IntegerMatrix.from_rows([[1, 2], [3]])
+
+    def test_block_diagonal(self):
+        m = IntegerMatrix.block_diagonal([[[0, 1], [1, 0]], [[5]], [], [[2, 3], [3, 4]]])
+        assert m.entries == (
+            (0, 1, 0, 0, 0),
+            (1, 0, 0, 0, 0),
+            (0, 0, 5, 0, 0),
+            (0, 0, 0, 2, 3),
+            (0, 0, 0, 3, 4),
+        )
+        assert m._blocks == (((0, 1), (1, 0)), ((5,),), (), ((2, 3), (3, 4)))
+        assert IntegerMatrix.block_diagonal([]) == IntegerMatrix.zero(0, 0)
+        assert IntegerMatrix.diagonal((2, -1))._blocks == (((2,),), ((-1,),))
+
+    @pytest.mark.parametrize(
+        "block",
+        [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1], [2, 3]], [[1, 2]]],
+        ids=["two-by-three", "short-row", "long-row", "one-row-of-two"],
+    )
+    def test_block_diagonal_refuses_a_block_that_is_not_square(self, block):
+        # a row of the wrong length would resize the reused row it is copied into
+        with pytest.raises(ValueError, match="must be square"):
+            IntegerMatrix.block_diagonal([[[1]], block, [[1]]])
+
+    def test_block_diagonal_converts_integer_types_in_the_blocks_it_keeps(self):
+        int64 = pytest.importorskip("numpy").int64
+        m = IntegerMatrix.block_diagonal([[[int64(2), 1], [1, int64(3)]]])
+        assert m == IntegerMatrix.from_rows([[2, 1], [1, 3]])
+        for grid in (m.entries, *m._blocks):
+            assert {type(x) for row in grid for x in row} == {int}
+
+    def test_only_block_diagonal_records_blocks(self):
+        m = IntegerMatrix.block_diagonal([[[1, 2], [2, 1]], [[3]]])
+        twin = IntegerMatrix.from_rows(m.entries)
+        assert twin._blocks is None and m._blocks is not None
+        assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
+        assert IntegerMatrix(3, 3, m.entries)._blocks is None
+        assert replace(m)._blocks is None
+        assert replace(m, entries=((1, 0, 0), (0, 1, 0), (0, 0, 1)))._blocks is None
 
     @given(small_matrices)
     @settings(max_examples=60)
@@ -442,6 +482,7 @@ class TestFgAbGroup:
     [
         lambda: IntegerMatrix.from_rows([[1.9]]),
         lambda: IntegerMatrix.diagonal([1.9]),
+        lambda: IntegerMatrix.block_diagonal([[[1, 0], [0, 1.9]]]),
         lambda: IntegerMatrix.identity(2).apply((1, 0.5)),
         lambda: vector_content((4, 2.0)),
         lambda: FgAbGroup(0, (2.5,)),
@@ -457,7 +498,7 @@ class TestFgAbGroup:
         lambda: cokernel_with_projection(IntegerMatrix.from_rows([[2], [0]]))[1]((1, 0.5)),
     ],
     ids=[
-        "from_rows", "diagonal", "apply", "vector_content", "group-torsion",
+        "from_rows", "diagonal", "block_diagonal", "apply", "vector_content", "group-torsion",
         "group-free-rank", "from_cyclic_orders", "element", "group-element", "scale",
         "has_element_of_order", "mod_p_dimension", "solve_divisibility",
         "tensor_reduction_moduli", "project",
